@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from rtkrylov.quadrature import QuadratureRule, gauss_legendre, legendre_eval, trapezoid
 from rtkrylov.grid import FieldVector, Grid, Ordering, Ray, build_grid, delta_tau, permute
-from rtkrylov.errors import CoverageError, DENSE_CAP_DEFAULT, ResourceLimitError
+from rtkrylov.errors import CoverageError, DENSE_CAP_DEFAULT, NumericalError, ResourceLimitError
 from rtkrylov.transfer import (
     TransferOperator,
     apply_transfer,
@@ -59,7 +59,7 @@ from rtkrylov import presets
 __all__ = [
     "QuadratureRule", "gauss_legendre", "legendre_eval", "trapezoid",
     "FieldVector", "Grid", "Ordering", "Ray", "build_grid", "delta_tau", "permute",
-    "CoverageError", "DENSE_CAP_DEFAULT", "ResourceLimitError",
+    "CoverageError", "DENSE_CAP_DEFAULT", "NumericalError", "ResourceLimitError",
     "TransferOperator", "apply_transfer", "boundary_term", "build_transfer",
     "materialize_transfer",
     "CoherentKernel", "CRDKernel", "LegendreKernel", "ScatteringOperator",

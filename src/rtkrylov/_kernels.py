@@ -1,132 +1,56 @@
-"""Hot transfer-sweep kernels: numba-compiled with a pure-numpy fallback.
+"""The transfer sweep: all rays or characteristic lines in one banded solve.
 
-The implicit-Euler marching recursions are sequential along the space axis,
-so they cannot be expressed as single numpy primitives. The numba versions
-run the full double loop natively; the numpy versions vectorize over rays
-and keep the sequential loop in Python. Set RTKRYLOV_DISABLE_NUMBA=1 to
-force the numpy path (it is also used automatically when numba is missing).
+Along one ray the implicit-Euler recursion
+
+    out_entry = 0,  (1 + dtau_i) out_next - out_prev = dtau_i * src_next
+
+is a bidiagonal triangular system. Rays laid end to end give one bidiagonal
+matrix whose coupling is cut at every entry node, so a single LAPACK
+``dtbtrs`` call marches all of them. Substitution performs the recursion's
+operations in the same order (add the marched value, divide by 1 + dtau),
+so the result matches the loop bit for bit; the tests check this.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
-_flag = os.environ.get("RTKRYLOV_DISABLE_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _flag in ("1", "true", "yes", "on")
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-USING_NUMBA = HAVE_NUMBA and not NUMBA_DISABLED
+from rtkrylov.errors import NumericalError
 
 
 def backend() -> str:
-    return "numba" if USING_NUMBA else "numpy"
+    return "lapack"
 
 
-# ---------------------------------------------------------------------------
-# batched sweeps over a (n_rays, n_space) block, zero inflow
-# ---------------------------------------------------------------------------
+def band(dtau: np.ndarray, offsets: np.ndarray, lower: bool = True) -> np.ndarray:
+    """Banded (2, n) storage of the marching matrix of concatenated rays.
 
-def _sweep_down_py(dtau, src, out):
-    # out_{i+1} = (out_i + dtau_i * src_{i+1}) / (1 + dtau_i), out_1 = 0
-    n = src.shape[1]
-    out[:, 0] = 0.0
-    acc = np.zeros(src.shape[0])
-    for i in range(n - 1):
-        acc = (acc + dtau[:, i] * src[:, i + 1]) / (1.0 + dtau[:, i])
-        out[:, i + 1] = acc
-
-
-def _sweep_up_py(dtau, src, out):
-    # out_{i-1} = (out_i + dtau_{i-1} * src_{i-1}) / (1 + dtau_{i-1}), out_n = 0
-    n = src.shape[1]
-    out[:, n - 1] = 0.0
-    acc = np.zeros(src.shape[0])
-    for i in range(n - 1, 0, -1):
-        acc = (acc + dtau[:, i - 1] * src[:, i - 1]) / (1.0 + dtau[:, i - 1])
-        out[:, i - 1] = acc
+    Ray l holds nodes offsets[l]:offsets[l + 1]; dtau[j] is the increment
+    entering node j (zero at entry nodes). A lower band marches each ray
+    forward from its first node, an upper band backward from its last.
+    Fortran order lets LAPACK read the band without a copy.
+    """
+    ab = np.empty((2, dtau.size), order="F")
+    diag, off = (ab[0], ab[1]) if lower else (ab[1], ab[0])
+    np.add(1.0, dtau, out=diag)
+    off[:] = -1.0
+    off[offsets[1:] - 1 if lower else offsets[:-1]] = 0.0
+    return ab
 
 
-def _sweep_lines_py(dtau, src, node_off, dtau_off, out):
-    # per-line down-sweep over ragged storage (lines concatenated)
-    for l in range(node_off.size - 1):
-        a, b = node_off[l], node_off[l + 1]
-        d = dtau_off[l]
-        acc = 0.0
-        out[a] = 0.0
-        for i in range(b - a - 1):
-            acc = (acc + dtau[d + i] * src[a + i + 1]) / (1.0 + dtau[d + i])
-            out[a + i + 1] = acc
+def sweep(ab: np.ndarray, rhs: np.ndarray, lower: bool = True) -> np.ndarray:
+    """Solve the marching system in place and return rhs.
 
-
-if HAVE_NUMBA:
-    @njit(cache=True)
-    def _sweep_down_nb(dtau, src, out):  # pragma: no cover - compiled
-        m, n = src.shape
-        for k in range(m):
-            acc = 0.0
-            out[k, 0] = 0.0
-            for i in range(n - 1):
-                acc = (acc + dtau[k, i] * src[k, i + 1]) / (1.0 + dtau[k, i])
-                out[k, i + 1] = acc
-
-    @njit(cache=True)
-    def _sweep_up_nb(dtau, src, out):  # pragma: no cover - compiled
-        m, n = src.shape
-        for k in range(m):
-            acc = 0.0
-            out[k, n - 1] = 0.0
-            for i in range(n - 1, 0, -1):
-                acc = (acc + dtau[k, i - 1] * src[k, i - 1]) / (1.0 + dtau[k, i - 1])
-                out[k, i - 1] = acc
-
-    @njit(cache=True)
-    def _sweep_lines_nb(dtau, src, node_off, dtau_off, out):  # pragma: no cover
-        for l in range(node_off.size - 1):
-            a, b = node_off[l], node_off[l + 1]
-            d = dtau_off[l]
-            acc = 0.0
-            out[a] = 0.0
-            for i in range(b - a - 1):
-                acc = (acc + dtau[d + i] * src[a + i + 1]) / (1.0 + dtau[d + i])
-                out[a + i + 1] = acc
-else:
-    _sweep_down_nb = None
-    _sweep_up_nb = None
-    _sweep_lines_nb = None
-
-_sweep_down_impl = _sweep_down_nb if USING_NUMBA else _sweep_down_py
-_sweep_up_impl = _sweep_up_nb if USING_NUMBA else _sweep_up_py
-_sweep_lines_impl = _sweep_lines_nb if USING_NUMBA else _sweep_lines_py
-
-
-def sweep_down(dtau: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """March the downward recursion for a batch of rays (rows of src)."""
-    out = np.empty_like(src)
-    if src.shape[0]:
-        _sweep_down_impl(dtau, src, out)
-    return out
-
-
-def sweep_up(dtau: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """March the upward recursion for a batch of rays (rows of src)."""
-    out = np.empty_like(src)
-    if src.shape[0]:
-        _sweep_up_impl(dtau, src, out)
-    return out
-
-
-def sweep_lines(dtau: np.ndarray, src: np.ndarray, node_off: np.ndarray,
-                dtau_off: np.ndarray) -> np.ndarray:
-    """March the entry-to-exit recursion over concatenated characteristic lines."""
-    out = np.empty_like(src)
-    if node_off.size > 1:
-        _sweep_lines_impl(dtau, src, node_off, dtau_off, out)
-    return out
+    rhs must already hold the weighted sources dtau * src (zero at entry
+    nodes); it is overwritten with the intensities. It must be contiguous,
+    since LAPACK would otherwise solve in a copy.
+    """
+    if rhs.dtype != np.float64 or not rhs.flags.c_contiguous:
+        raise ValueError("sweep needs a C-contiguous float64 right-hand side")
+    if rhs.size:
+        _, info = dtbtrs(ab, rhs.reshape(rhs.size, 1), uplo="L" if lower else "U",
+                         overwrite_b=1)
+        if info != 0:
+            raise NumericalError(f"singular transfer sweep (LAPACK dtbtrs info={info})")
+    return rhs

@@ -18,9 +18,10 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 
 from rtkrylov import presets
-from rtkrylov.errors import DENSE_CAP_DEFAULT, ResourceLimitError
+from rtkrylov.errors import DENSE_CAP_DEFAULT, NumericalError, ResourceLimitError
 from rtkrylov.krylov import SolveConfig, solve_system
 from rtkrylov.operator import apply_A, build_rhs
 from rtkrylov.spectrum import compute_spectrum
@@ -103,6 +104,7 @@ _DEFAULTS = {
 
 def _merge_config(args: argparse.Namespace) -> dict:
     cfg = dict(_DEFAULTS)
+    file_cfg = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -118,6 +120,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if val is not None:
             cfg[key] = val
     cfg["mode"] = args.mode
+    cfg["_solver_given"] = args.solver is not None or "solver" in file_cfg
     return cfg
 
 
@@ -145,25 +148,20 @@ def _echo_config(cfg: dict) -> dict:
     return echo
 
 
-def _solution_rows(problem, solution):
+def _write_solution(path: Path, problem, solution) -> None:
+    """One row per unknown: node coordinates, ray (mu, nu), intensity."""
     grid = problem.grid
     if hasattr(grid, "node_xy"):  # 2D
-        header = ["x", "y", "mu", "nu", "I"]
-        rows = []
-        mat = solution.reshape(grid.n_space, grid.n_rays)
-        for i, (x, y) in enumerate(grid.node_xy):
-            for k in range(grid.n_rays):
-                rows.append([_fmt(x), _fmt(y), _fmt(grid.ray_mu[k]),
-                             _fmt(grid.ray_nu[k]), _fmt(mat[i, k])])
-        return header, rows
-    header = ["t", "mu", "nu", "I"]
-    rows = []
-    mat = solution.reshape(grid.n_space, grid.n_rays)
-    for i, t in enumerate(grid.t_nodes):
-        for k in range(grid.n_rays):
-            rows.append([_fmt(t), _fmt(grid.ray_mu[k]), _fmt(grid.ray_nu[k]),
-                         _fmt(mat[i, k])])
-    return header, rows
+        header, nodes = "x,y,mu,nu,I", grid.node_xy
+    else:
+        header, nodes = "t,mu,nu,I", grid.t_nodes[:, None]
+    table = np.column_stack([
+        np.repeat(nodes, grid.n_rays, axis=0),
+        np.tile(grid.ray_mu, grid.n_space),
+        np.tile(grid.ray_nu, grid.n_space),
+        solution,
+    ])
+    np.savetxt(path, table, fmt=_G, delimiter=",", header=header, comments="")
 
 
 def _run_solve(cfg: dict, out_dir: Path) -> int:
@@ -172,8 +170,7 @@ def _run_solve(cfg: dict, out_dir: Path) -> int:
     b = build_rhs(problem, override_ones=cfg["rhs_one"])
     report = solve_system(lambda v: apply_A(problem, v), b, _solve_config(cfg))
 
-    header, rows = _solution_rows(problem, report.solution)
-    _write_csv(out_dir / "solution.csv", header, rows)
+    _write_solution(out_dir / "solution.csv", problem, report.solution)
     _write_json(out_dir / "report.json", {
         "schema_version": SCHEMA_VERSION,
         "kind": "solve",
@@ -261,7 +258,7 @@ def _run_convergence(cfg: dict, out_dir: Path) -> int:
     if len(nnu_list) != len(ns_list):
         raise ConfigError("--nnu ladder must match --ns in length (or be scalar)")
     n_omega = _scalar(cfg, "nomega")
-    methods = [cfg["solver"]] if cfg.get("_solver_given") else ["gmres", "bicgstab"]
+    methods = [cfg["solver"]] if cfg["_solver_given"] else ["gmres", "bicgstab"]
 
     rows = []
     any_failed = False
@@ -288,8 +285,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)
-        if args.solver is not None:
-            cfg["_solver_given"] = True
         out_dir = Path(cfg["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.mode == "solve":
@@ -302,6 +297,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,3 +9,7 @@ class ResourceLimitError(RuntimeError):
 
 class CoverageError(RuntimeError):
     """Raised when a ray family is too sparse to reach every Cartesian node."""
+
+
+class NumericalError(RuntimeError):
+    """Raised when a numerical kernel fails (the CLI exits with code 2)."""

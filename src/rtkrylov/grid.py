@@ -73,6 +73,8 @@ class Grid:
             raise ValueError("t_nodes must be strictly increasing")
         if np.any(self.mu_nodes == 0.0):
             raise ValueError("mu = 0 is not an admissible direction")
+        if np.any(np.diff(self.mu_nodes) <= 0):
+            raise ValueError("mu_nodes must be strictly increasing")
 
         self.n_space = self.t_nodes.size
         self.n_angles = self.mu_nodes.size

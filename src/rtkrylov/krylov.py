@@ -43,7 +43,6 @@ class SolveReport:
     method: str
     breakdown: bool = False
     true_residual: Optional[float] = None
-    residual_kind: str = "recurrence"
 
 
 def _trivial_report(method: str, n: int) -> SolveReport:
@@ -60,6 +59,8 @@ def gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     Without cfg.restart the Krylov basis grows until convergence or
     cfg.max_iter. An Arnoldi norm below 1e-14 * ||b|| closes the Krylov
     space; the least-squares solution is then exact (converged by breakdown).
+    A zero rotated Hessenberg diagonal means the map is singular on the
+    Krylov space: the last iterate is returned as a non-converged breakdown.
     """
     b = np.asarray(b, dtype=float)
     n = b.size
@@ -112,8 +113,19 @@ def gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
                 col[i + 1] = -sin[i] * col[i] + cos[i] * col[i + 1]
                 col[i] = tmp
             denom = np.hypot(col[j], col[j + 1])
-            cj = col[j] / denom if denom else 1.0
-            sj = col[j + 1] / denom if denom else 0.0
+            total_iters += 1
+            if denom == 0.0:
+                if j:
+                    x = x + _combine(basis, _solve_upper(h_cols, g[:j]))
+                true_rel = float(np.linalg.norm(b - apply(x))) / b_norm
+                history.append(true_rel)
+                return SolveReport(
+                    solution=x, iterations=total_iters, residual_history=history,
+                    converged=False, method="gmres", breakdown=True,
+                    true_residual=true_rel,
+                )
+            cj = col[j] / denom
+            sj = col[j + 1] / denom
             cos.append(cj)
             sin.append(sj)
             col[j] = denom
@@ -121,7 +133,6 @@ def gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
             g.append(-sj * g[j])
             g[j] = cj * g[j]
 
-            total_iters += 1
             j += 1
             rel = abs(g[j]) / b_norm
             history.append(rel)

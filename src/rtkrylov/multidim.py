@@ -262,9 +262,9 @@ def build_interpolators(family: RayFamily, grid: CartesianGrid2D):
 class _RayTransferBlock:
     cart_to_ray: Interpolator
     ray_to_cart: Interpolator
-    dtau: np.ndarray          # concatenated per-line increments
+    dtau: np.ndarray          # increment entering each line node, 0 at line entries
     node_offsets: np.ndarray
-    dtau_offsets: np.ndarray
+    band: np.ndarray          # marching matrix of all lines, see _kernels.band
     boundary_ray: np.ndarray  # attenuated inflow on the line nodes
 
 
@@ -288,10 +288,9 @@ class TransferOperator2D:
         mat = v.reshape(self.grid.n_space, self.grid.n_rays)
         out = np.empty_like(mat)
         for k, blk in enumerate(self.blocks):
-            on_rays = blk.cart_to_ray.apply(np.ascontiguousarray(mat[:, k]))
-            swept = _kernels.sweep_lines(blk.dtau, on_rays, blk.node_offsets,
-                                         blk.dtau_offsets)
-            out[:, k] = blk.ray_to_cart.apply(swept)
+            rhs = blk.cart_to_ray.apply(np.ascontiguousarray(mat[:, k]))
+            rhs *= blk.dtau
+            out[:, k] = blk.ray_to_cart.apply(_kernels.sweep(blk.band, rhs))
         return out.ravel()
 
     def boundary_space_major(self) -> np.ndarray:
@@ -312,8 +311,7 @@ class TransferOperator2D:
             lam_r = np.zeros((m, m))
             for l in range(blk.node_offsets.size - 1):
                 a, b = blk.node_offsets[l], blk.node_offsets[l + 1]
-                da, db = blk.dtau_offsets[l], blk.dtau_offsets[l + 1]
-                lam_r[a:b, a:b] = lower_block(blk.dtau[da:db])
+                lam_r[a:b, a:b] = lower_block(blk.dtau[a + 1:b])
             composed = blk.ray_to_cart.toarray() @ lam_r @ blk.cart_to_ray.toarray()
             view[:, k, :, k] = composed
         return out
@@ -327,7 +325,8 @@ def build_transfer_2d(grid: CartesianGrid2D, chi: Union[float, Callable] = 1.0,
 
     chi is the opacity (scalar or chi(x, y)); optical-depth increments are
     arc length times the midpoint opacity. inflow is the boundary intensity,
-    evaluated at each line's entry point (scalar or inflow(x, y)).
+    evaluated at each line's entry point (scalar or inflow(x, y)). A
+    non-finite optical-depth increment is rejected with ValueError.
     """
     chi_fn = chi if callable(chi) else (lambda x, y: np.full_like(np.asarray(x, dtype=float), float(chi)))
     inflow_fn = inflow if callable(inflow) else (lambda x, y: float(inflow))
@@ -340,22 +339,23 @@ def build_transfer_2d(grid: CartesianGrid2D, chi: Union[float, Callable] = 1.0,
         cart_to_ray, ray_to_cart = build_interpolators(family, grid)
         dtau_parts = []
         boundary_parts = []
-        dtau_offsets = [0]
         for line in family.lines:
             mids = 0.5 * (line.nodes[1:] + line.nodes[:-1])
             seg = np.linalg.norm(np.diff(line.nodes, axis=0), axis=1)
             dtau_line = seg * np.asarray(chi_fn(mids[:, 0], mids[:, 1]), dtype=float)
-            dtau_parts.append(dtau_line)
-            dtau_offsets.append(dtau_offsets[-1] + dtau_line.size)
+            if not np.all(np.isfinite(dtau_line)):
+                raise ValueError("optical-depth increments must be finite")
+            dtau_parts.append(np.concatenate([[0.0], dtau_line]))
             value = float(inflow_fn(line.entry[0], line.entry[1]))
             boundary_parts.append(lower_decay(dtau_line) * value)
+        dtau = np.concatenate(dtau_parts)
         blocks.append(_RayTransferBlock(
             cart_to_ray=cart_to_ray,
             ray_to_cart=ray_to_cart,
-            dtau=np.concatenate(dtau_parts) if dtau_parts else np.zeros(0),
+            dtau=dtau,
             node_offsets=family.node_offsets,
-            dtau_offsets=np.asarray(dtau_offsets, dtype=np.int64),
-            boundary_ray=np.concatenate(boundary_parts) if boundary_parts else np.zeros(0),
+            band=_kernels.band(dtau, family.node_offsets),
+            boundary_ray=np.concatenate(boundary_parts),
         ))
     return TransferOperator2D(grid, blocks, families)
 

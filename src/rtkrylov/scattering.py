@@ -17,7 +17,6 @@ from typing import Callable, Union
 import numpy as np
 
 from rtkrylov.errors import DENSE_CAP_DEFAULT, ResourceLimitError
-from rtkrylov.grid import FieldVector, Ordering
 from rtkrylov.quadrature import legendre_basis
 
 
@@ -85,11 +84,17 @@ class ScatteringOperator:
 def build_scattering(grid, kernel: Kernel, gamma) -> ScatteringOperator:
     """Sample the scattering coefficient and cache kernel contractions.
 
-    Emits a diagnostic warning when max(gamma) * kernel normalization reaches
-    one, where plain source iteration is no longer guaranteed to contract.
+    Rejects a non-finite coefficient or kernel with ValueError. Emits a
+    diagnostic warning when max(gamma) * kernel normalization reaches one,
+    where plain source iteration is no longer guaranteed to contract.
     """
     gamma_table = grid.sample_coefficient(gamma)
-    strength = float(np.max(np.abs(gamma_table))) * kernel_normalization(kernel, grid)
+    if not np.all(np.isfinite(gamma_table)):
+        raise ValueError("scattering coefficient must be finite")
+    normalization = kernel_normalization(kernel, grid)
+    if not np.isfinite(normalization):
+        raise ValueError("kernel normalization must be finite")
+    strength = float(np.max(np.abs(gamma_table))) * normalization
     if strength >= 1.0:
         warnings.warn(
             f"scattering strength {strength:.3g} >= 1: fixed-point iteration may "
@@ -100,33 +105,13 @@ def build_scattering(grid, kernel: Kernel, gamma) -> ScatteringOperator:
     return ScatteringOperator(grid=grid, kernel=kernel, gamma_table=gamma_table)
 
 
-VectorLike = Union[np.ndarray, FieldVector]
-
-
-def _as_space_matrix(op: ScatteringOperator, v: VectorLike):
-    if isinstance(v, FieldVector):
-        values, ordering, is_fv = v.values, v.ordering, True
-    else:
-        values, ordering, is_fv = np.asarray(v, dtype=float), Ordering.SPACE_MAJOR, False
+def apply_scattering(op: ScatteringOperator, field: np.ndarray) -> np.ndarray:
+    """Matrix-free Gamma Psi W applied per space node to a space-major vector."""
+    values = np.asarray(field, dtype=float)
     if values.size != op.n_total:
         raise ValueError(f"expected length {op.n_total}, got {values.size}")
     g = op.grid
-    if ordering is Ordering.SPACE_MAJOR:
-        mat = values.reshape(g.n_space, g.n_rays)
-    else:
-        mat = np.ascontiguousarray(values.reshape(g.n_rays, g.n_space).T)
-    return mat, ordering, is_fv
-
-
-def _from_space_matrix(mat, ordering, is_fv):
-    values = mat.ravel() if ordering is Ordering.SPACE_MAJOR else mat.T.ravel()
-    return FieldVector(values, ordering) if is_fv else values
-
-
-def apply_scattering(op: ScatteringOperator, field: VectorLike) -> VectorLike:
-    """Matrix-free Gamma Psi W applied per space node."""
-    mat, ordering, is_fv = _as_space_matrix(op, field)
-    g = op.grid
+    mat = values.reshape(g.n_space, g.n_rays)
     w = g.combined_weights
     kernel = op.kernel
     if isinstance(kernel, LegendreKernel):
@@ -145,7 +130,7 @@ def apply_scattering(op: ScatteringOperator, field: VectorLike) -> VectorLike:
         out = op.gamma_table * np.tile(pv[None, :] * ang, (1, g.n_angles))
     else:
         raise TypeError(f"unknown kernel {kernel!r}")
-    return _from_space_matrix(out, ordering, is_fv)
+    return out.ravel()
 
 
 def materialize_scattering(op: ScatteringOperator, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:

@@ -12,13 +12,12 @@ comparable with the reference tables.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from rtkrylov.errors import DENSE_CAP_DEFAULT
+from rtkrylov.errors import DENSE_CAP_DEFAULT, NumericalError
 from rtkrylov.operator import RTProblem, materialize_A
 
 DEFAULT_EPS_VALUES = (0.01, 0.05, 0.1, 0.15)
@@ -43,14 +42,15 @@ class SpectrumReport:
 def compute_spectrum(problem: RTProblem, dense_cap: int = DENSE_CAP_DEFAULT,
                      eps_values: Sequence[float] = DEFAULT_EPS_VALUES,
                      compute_singular: bool = False) -> SpectrumReport:
-    """Full spectrum of the materialized global operator plus diagnostics."""
+    """Full spectrum of the materialized global operator plus diagnostics.
+
+    Raises NumericalError when the eigensolver does not converge.
+    """
     dense = materialize_A(problem, dense_cap=dense_cap)
     try:
         eigenvalues = np.linalg.eigvals(dense)
     except np.linalg.LinAlgError as exc:
-        path = tempfile.mktemp(prefix="rtkrylov_eig_fail_", suffix=".npy")
-        np.save(path, dense)
-        raise RuntimeError(f"eigensolver did not converge; matrix dumped to {path}") from exc
+        raise NumericalError(f"eigensolver did not converge: {exc}") from exc
     singular = np.linalg.svd(dense, compute_uv=False) if compute_singular else None
 
     modulus = np.abs(eigenvalues)

@@ -4,14 +4,14 @@ Radiation marches along each ray with the implicit-Euler formal solver.
 Downward rays (mu < 0) enter at the surface and give lower-triangular blocks
 with a zero first row; upward rays (mu > 0) enter at depth and give
 upper-triangular blocks with a zero last row. The matrix-free apply marches
-the O(n_space) recursion; dense blocks are assembled from the closed-form
-coefficient products and serve as the independent testing path.
+the O(n_space) recursion of every ray in one banded solve (see _kernels);
+dense blocks are assembled from the closed-form coefficient products and
+serve as the independent testing path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -66,9 +66,10 @@ def _per_frequency_values(grid: Grid, value) -> np.ndarray:
 class TransferOperator:
     grid: Grid
     dtau: np.ndarray          # (n_rays, n_space - 1) optical-depth increments
-    down: np.ndarray          # bool mask, rays entering at the surface
-    decay: np.ndarray         # (n_rays, n_space) boundary attenuation per node
+    n_down: int               # rays 0..n_down-1 enter at the surface (mu < 0)
     inflow: np.ndarray        # (n_rays,) boundary intensity feeding each ray
+    band_down: np.ndarray     # marching matrix of the mu < 0 rays (lower band)
+    band_up: np.ndarray       # marching matrix of the mu > 0 rays (upper band)
 
     @property
     def n_total(self) -> int:
@@ -76,7 +77,7 @@ class TransferOperator:
 
     # protocol shared with the 2D long-characteristics operator
     def apply_space_major(self, v: np.ndarray) -> np.ndarray:
-        return apply_transfer(self, np.asarray(v, dtype=float))
+        return apply_transfer(self, v)
 
     def boundary_space_major(self) -> np.ndarray:
         return boundary_term(self).values
@@ -85,65 +86,63 @@ class TransferOperator:
         return materialize_transfer(self, dense_cap)
 
 
+def _ray_band(dtau: np.ndarray, lower: bool) -> np.ndarray:
+    """Band of equal-length rays; each ray's entry node gets a zero increment."""
+    n_rays, n_space = dtau.shape[0], dtau.shape[1] + 1
+    pad = np.zeros((n_rays, 1))
+    per_node = np.hstack([pad, dtau] if lower else [dtau, pad])
+    return _kernels.band(per_node.ravel(), np.arange(n_rays + 1) * n_space, lower)
+
+
 def build_transfer(grid: Grid, i_in_deep=0.0, i_in_surf=0.0) -> TransferOperator:
-    """Precompute per-ray increments, attenuation factors, and inflow values.
+    """Precompute per-ray increments, the marching bands, and inflow values.
 
     mu > 0 rays carry the boundary value from t_deep upward, mu < 0 rays
-    carry the value from t_surf downward.
+    carry the value from t_surf downward. The grid lists the mu < 0 rays
+    first, so each direction is one contiguous half of the rays.
     """
     dtau = grid.delta_tau_table()
-    down = grid.ray_mu < 0
-
-    q = np.cumprod(1.0 + dtau, axis=1)
-    qfull = np.concatenate([np.ones((grid.n_rays, 1)), q], axis=1)
-    decay = np.where(down[:, None], 1.0 / qfull, qfull / qfull[:, -1:])
-
+    if not np.all(np.isfinite(dtau)):
+        raise ValueError("optical-depth increments must be finite")
+    n_down = int(np.count_nonzero(grid.ray_mu < 0))
     deep = _per_frequency_values(grid, i_in_deep)
     surf = _per_frequency_values(grid, i_in_surf)
-    inflow = np.where(down, surf, deep)
-    return TransferOperator(grid=grid, dtau=dtau, down=down, decay=decay, inflow=inflow)
+    inflow = np.concatenate([surf[:n_down], deep[n_down:]])
+    return TransferOperator(
+        grid=grid, dtau=dtau, n_down=n_down, inflow=inflow,
+        band_down=_ray_band(dtau[:n_down], lower=True),
+        band_up=_ray_band(dtau[n_down:], lower=False),
+    )
 
 
-VectorLike = Union[np.ndarray, FieldVector]
+def apply_transfer(op: TransferOperator, source: np.ndarray) -> np.ndarray:
+    """Apply the homogeneous part (no boundary term) of the transfer operator.
 
-
-def _as_ray_matrix(op: TransferOperator, v: VectorLike):
-    """Return (matrix view (n_rays, n_space), ordering, was_field_vector)."""
-    if isinstance(v, FieldVector):
-        values, ordering, is_fv = v.values, v.ordering, True
-    else:
-        values, ordering, is_fv = np.asarray(v, dtype=float), Ordering.SPACE_MAJOR, False
+    source and result are space-major. Their transposed copy holds one
+    contiguous run per ray and is the right-hand side both sweeps solve in.
+    """
+    values = np.asarray(source, dtype=float)
     if values.size != op.n_total:
         raise ValueError(f"expected length {op.n_total}, got {values.size}")
     g = op.grid
-    if ordering is Ordering.RAY_MAJOR:
-        mat = values.reshape(g.n_rays, g.n_space)
-    else:
-        mat = np.ascontiguousarray(values.reshape(g.n_space, g.n_rays).T)
-    return mat, ordering, is_fv
-
-
-def _from_ray_matrix(op: TransferOperator, mat, ordering, is_fv):
-    if ordering is Ordering.RAY_MAJOR:
-        values = mat.ravel()
-    else:
-        values = mat.T.ravel()
-    return FieldVector(values, ordering) if is_fv else values
-
-
-def apply_transfer(op: TransferOperator, source: VectorLike) -> VectorLike:
-    """Apply the homogeneous part (no boundary term) of the transfer operator."""
-    mat, ordering, is_fv = _as_ray_matrix(op, source)
-    out = np.empty_like(mat)
-    out[op.down] = _kernels.sweep_down(op.dtau[op.down], np.ascontiguousarray(mat[op.down]))
-    up = ~op.down
-    out[up] = _kernels.sweep_up(op.dtau[up], np.ascontiguousarray(mat[up]))
-    return _from_ray_matrix(op, out, ordering, is_fv)
+    rhs = values.reshape(g.n_space, g.n_rays).T.copy()
+    down, up = rhs[:op.n_down], rhs[op.n_down:]
+    down[:, 0] = 0.0
+    down[:, 1:] *= op.dtau[:op.n_down]
+    up[:, -1] = 0.0
+    up[:, :-1] *= op.dtau[op.n_down:]
+    _kernels.sweep(op.band_down, down.reshape(-1), lower=True)
+    _kernels.sweep(op.band_up, up.reshape(-1), lower=False)
+    return rhs.T.ravel()
 
 
 def boundary_term(op: TransferOperator) -> FieldVector:
     """Inflow contribution: attenuation times the boundary intensity, space-major."""
-    mat = op.decay * op.inflow[:, None]  # (n_rays, n_space)
+    q = np.cumprod(1.0 + op.dtau, axis=1)
+    qfull = np.concatenate([np.ones((op.grid.n_rays, 1)), q], axis=1)
+    d = op.n_down
+    decay = np.concatenate([1.0 / qfull[:d], qfull[d:] / qfull[d:, -1:]])
+    mat = decay * op.inflow[:, None]  # (n_rays, n_space)
     return FieldVector(mat.T.ravel(), Ordering.SPACE_MAJOR)
 
 
@@ -156,6 +155,6 @@ def materialize_transfer(op: TransferOperator, dense_cap: int = DENSE_CAP_DEFAUL
     out = np.zeros((n, n))
     view = out.reshape(g.n_space, g.n_rays, g.n_space, g.n_rays)
     for k in range(g.n_rays):
-        block = lower_block(op.dtau[k]) if op.down[k] else upper_block(op.dtau[k])
+        block = lower_block(op.dtau[k]) if k < op.n_down else upper_block(op.dtau[k])
         view[:, k, :, k] = block
     return out

@@ -94,6 +94,10 @@ class TestSolve:
         header, rows = read_csv(tmp_path / "solution.csv")
         assert len(rows) == 30 * 4  # flag wins over config file
 
+    def test_non_finite_strength_exit_code(self, tmp_path):
+        assert main(["solve", "--preset", "mono", "--ns", "10", "--nomega", "4",
+                     "--gamma-scale", "nan", "--out", str(tmp_path)]) == 1
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"nsx": 3}))
@@ -112,6 +116,14 @@ class TestSpectrum:
         jsonschema.validate(report, load_schema())
         assert report["min_modulus"] > 0.82
         assert report["cluster_fraction_symmetric"] * 100 == pytest.approx(68.3, abs=3.0)
+
+    def test_eigensolver_failure_exit_code(self, tmp_path, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        assert main(["spectrum", "--preset", "mono", "--ns", "4", "--nomega", "4",
+                     "--out", str(tmp_path)]) == 2
 
     def test_over_cap_is_config_error(self, tmp_path):
         code = main(["spectrum", "--preset", "mono", "--ns", "100", "--nomega", "12",
@@ -168,6 +180,15 @@ class TestConvergence:
         sizes = {r[0] for r in rows}
         assert sizes == {"ns5_nomega4_nnu5", "ns8_nomega4_nnu8"}
         assert all(r[4] == "1" for r in rows)
+
+    def test_solver_from_config_file(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"solver": "bicgstab"}))
+        code = main(["convergence", "--config", str(cfg_path), "--preset", "mono",
+                     "--ns", "5,8", "--nomega", "4", "--rhs-one", "--out", str(tmp_path)])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "convergence.csv")
+        assert {r[1] for r in rows} == {"bicgstab"}
 
     def test_mismatched_ladder_rejected(self, tmp_path):
         assert main(["convergence", "--preset", "coherent", "--ns", "5,8,11",

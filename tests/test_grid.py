@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rtkrylov.grid import FieldVector, Ordering, build_grid, delta_tau, permute
+from rtkrylov.grid import FieldVector, Grid, Ordering, build_grid, delta_tau, permute
 
 
 def lorentzian(nu):
@@ -75,6 +75,11 @@ class TestBuildGrid:
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
             build_grid(n_space=4, n_angles=2, n_freq=1, t_surf=1.0, t_deep=0.0)
+
+    def test_unsorted_directions_rejected(self):
+        # the transfer sweep relies on the mu < 0 rays coming first
+        with pytest.raises(ValueError):
+            Grid([0.0, 1.0], [0.5, -0.5], [1.0, 1.0], [0.0], [1.0])
 
 
 class TestDeltaTau:

@@ -1,11 +1,72 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from rtkrylov import _kernels
+from rtkrylov.errors import NumericalError
+from rtkrylov.grid import build_grid
+from rtkrylov.multidim import CartesianGrid2D, build_transfer_2d
+from rtkrylov.transfer import apply_transfer, build_transfer, lower_block, upper_block
+
+
+# The implicit-Euler recursions as explicit loops: the reference the banded
+# solve must reproduce bit for bit.
+
+def march_down(dtau, src):
+    # out_{i+1} = (out_i + dtau_i * src_{i+1}) / (1 + dtau_i), out_1 = 0
+    out = np.empty_like(src)
+    n = src.shape[1]
+    out[:, 0] = 0.0
+    acc = np.zeros(src.shape[0])
+    for i in range(n - 1):
+        acc = (acc + dtau[:, i] * src[:, i + 1]) / (1.0 + dtau[:, i])
+        out[:, i + 1] = acc
+    return out
+
+
+def march_up(dtau, src):
+    # out_{i-1} = (out_i + dtau_{i-1} * src_{i-1}) / (1 + dtau_{i-1}), out_n = 0
+    out = np.empty_like(src)
+    n = src.shape[1]
+    out[:, n - 1] = 0.0
+    acc = np.zeros(src.shape[0])
+    for i in range(n - 1, 0, -1):
+        acc = (acc + dtau[:, i - 1] * src[:, i - 1]) / (1.0 + dtau[:, i - 1])
+        out[:, i - 1] = acc
+    return out
+
+
+def march_lines(dtau, src, node_off, dtau_off):
+    # per-line down-sweep over ragged storage (lines concatenated)
+    out = np.empty_like(src)
+    for l in range(node_off.size - 1):
+        a, b = node_off[l], node_off[l + 1]
+        d = dtau_off[l]
+        acc = 0.0
+        out[a] = 0.0
+        for i in range(b - a - 1):
+            acc = (acc + dtau[d + i] * src[a + i + 1]) / (1.0 + dtau[d + i])
+            out[a + i + 1] = acc
+    return out
+
+
+def banded_rays(dtau, src, lower):
+    # equal-length rows of src, each a ray entering at its first (lower) or
+    # last (upper) node
+    m, n = src.shape
+    pad = np.zeros((m, 1))
+    node_dtau = np.hstack([pad, dtau] if lower else [dtau, pad])
+    ab = _kernels.band(node_dtau.ravel(), np.arange(m + 1) * n, lower)
+    return _kernels.sweep(ab, (node_dtau * src).ravel(), lower).reshape(m, n)
+
+
+def banded_lines(dtau, src, node_off):
+    # dtau without entries (as march_lines takes it) spread to one value per node
+    node_dtau = np.zeros(src.size)
+    entry = np.zeros(src.size, dtype=bool)
+    entry[node_off[:-1]] = True
+    node_dtau[~entry] = dtau
+    ab = _kernels.band(node_dtau, node_off)
+    return _kernels.sweep(ab, node_dtau * src)
 
 
 @pytest.fixture
@@ -16,76 +77,95 @@ def batch():
     return dtau, src
 
 
-def test_dispatch_matches_numpy_reference(batch):
-    dtau, src = batch
-    down_ref = np.empty_like(src)
-    _kernels._sweep_down_py(dtau, src, down_ref)
-    up_ref = np.empty_like(src)
-    _kernels._sweep_up_py(dtau, src, up_ref)
-    np.testing.assert_allclose(_kernels.sweep_down(dtau, src), down_ref, rtol=1e-15)
-    np.testing.assert_allclose(_kernels.sweep_up(dtau, src), up_ref, rtol=1e-15)
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-def test_numba_and_numpy_sweeps_agree(batch):
-    dtau, src = batch
-    for py_impl, nb_impl in (
-        (_kernels._sweep_down_py, _kernels._sweep_down_nb),
-        (_kernels._sweep_up_py, _kernels._sweep_up_nb),
-    ):
-        out_py = np.empty_like(src)
-        py_impl(dtau, src, out_py)
-        out_nb = np.empty_like(src)
-        nb_impl(dtau, src, out_nb)
-        np.testing.assert_allclose(out_nb, out_py, rtol=1e-15)
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-def test_numba_and_numpy_line_sweeps_agree():
+def ragged():
     rng = np.random.default_rng(1)
-    node_off = np.array([0, 4, 9, 11], dtype=np.int64)
-    dtau_off = node_off - np.arange(4)
+    node_off = np.array([0, 4, 9, 10, 12], dtype=np.int64)  # includes a one-node line
+    dtau_off = node_off - np.arange(node_off.size)
     dtau = rng.uniform(0.05, 2.0, size=int(dtau_off[-1]))
     src = rng.standard_normal(int(node_off[-1]))
-    out_py = np.empty_like(src)
-    _kernels._sweep_lines_py(dtau, src, node_off, dtau_off, out_py)
-    out_nb = np.empty_like(src)
-    _kernels._sweep_lines_nb(dtau, src, node_off, dtau_off, out_nb)
-    np.testing.assert_allclose(out_nb, out_py, rtol=1e-15)
+    return dtau, src, node_off, dtau_off
+
+
+def test_rays_match_recursion_exactly(batch):
+    dtau, src = batch
+    assert np.array_equal(banded_rays(dtau, src, lower=True), march_down(dtau, src))
+    assert np.array_equal(banded_rays(dtau, src, lower=False), march_up(dtau, src))
+
+
+def test_ragged_lines_match_recursion_exactly():
+    dtau, src, node_off, dtau_off = ragged()
+    assert np.array_equal(banded_lines(dtau, src, node_off),
+                          march_lines(dtau, src, node_off, dtau_off))
+
+
+def test_empty_batch_handled():
+    for lower in (True, False):
+        out = banded_rays(np.zeros((0, 4)), np.zeros((0, 5)), lower)
+        assert out.shape == (0, 5)
+    empty = np.zeros(0)
+    offsets = np.zeros(1, dtype=np.int64)
+    assert np.array_equal(banded_lines(empty, empty, offsets),
+                          march_lines(empty, empty, offsets, offsets))
 
 
 def test_line_sweep_matches_batched_sweep_on_equal_lines():
     rng = np.random.default_rng(2)
     dtau = rng.uniform(0.1, 1.5, size=(3, 9))
     src = rng.standard_normal((3, 10))
-    batched = _kernels.sweep_down(dtau, src)
-    node_off = np.arange(4, dtype=np.int64) * 10
-    dtau_off = np.arange(4, dtype=np.int64) * 9
-    flat = _kernels.sweep_lines(dtau.ravel(), src.ravel(), node_off, dtau_off)
-    np.testing.assert_allclose(flat.reshape(3, 10), batched, rtol=1e-15)
+    flat = banded_lines(dtau.ravel(), src.ravel(), np.arange(4, dtype=np.int64) * 10)
+    assert np.array_equal(flat.reshape(3, 10), banded_rays(dtau, src, lower=True))
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, RTKRYLOV_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from rtkrylov import _kernels; print(_kernels.backend())"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
+def test_sweep_matches_closed_form_blocks(batch):
+    dtau, src = batch
+    down = banded_rays(dtau, src, lower=True)
+    up = banded_rays(dtau, src, lower=False)
+    for k in range(src.shape[0]):
+        np.testing.assert_allclose(down[k], lower_block(dtau[k]) @ src[k], rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(up[k], upper_block(dtau[k]) @ src[k], rtol=1e-13, atol=1e-15)
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-def test_default_backend_is_numba_when_available():
-    env = {k: v for k, v in os.environ.items() if k != "RTKRYLOV_DISABLE_NUMBA"}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from rtkrylov import _kernels; print(_kernels.backend())"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numba"
+def test_apply_transfer_matches_recursion_exactly():
+    g = build_grid(25, 6, 5, 0.0, 1.0, profile=lambda nu: 1.0 / (np.pi * (nu**2 + 1.0)))
+    op = build_transfer(g, i_in_deep=1.0)
+    s = np.random.default_rng(3).standard_normal(g.n_total)
+    mat = s.reshape(g.n_space, g.n_rays).T
+    d = op.n_down
+    expected = np.concatenate([march_down(op.dtau[:d], mat[:d]),
+                               march_up(op.dtau[d:], mat[d:])])
+    assert np.array_equal(apply_transfer(op, s), expected.T.ravel())
 
 
-def test_empty_batch_handled():
-    out = _kernels.sweep_down(np.zeros((0, 4)), np.zeros((0, 5)))
-    assert out.shape == (0, 5)
+def test_2d_transfer_matches_recursion_exactly():
+    grid = CartesianGrid2D(7, 6, 8)
+    op = build_transfer_2d(grid, chi=1.3)
+    v = np.random.default_rng(4).standard_normal(grid.n_total)
+    mat = v.reshape(grid.n_space, grid.n_rays)
+    expected = np.empty_like(mat)
+    for k, blk in enumerate(op.blocks):
+        node_off = blk.node_offsets
+        entry = np.zeros(blk.dtau.size, dtype=bool)
+        entry[node_off[:-1]] = True
+        swept = march_lines(blk.dtau[~entry], blk.cart_to_ray.apply(mat[:, k].copy()),
+                            node_off, node_off - np.arange(node_off.size))
+        expected[:, k] = blk.ray_to_cart.apply(swept)
+    assert np.array_equal(op.apply_space_major(v), expected.ravel())
+
+
+def test_sweep_solves_in_place_and_rejects_strided_rhs():
+    ab = _kernels.band(np.ones(3), np.array([0, 3]))
+    rhs = np.array([0.0, 2.0, 2.0])
+    assert _kernels.sweep(ab, rhs) is rhs
+    np.testing.assert_array_equal(rhs, [0.0, 1.0, 1.5])
+    with pytest.raises(ValueError):
+        _kernels.sweep(ab, np.zeros(6)[::2])
+
+
+def test_singular_band_raises():
+    ab = _kernels.band(np.array([0.0, -1.0]), np.array([0, 2]))
+    with pytest.raises(NumericalError):
+        _kernels.sweep(ab, np.ones(2))
+
+
+def test_backend_is_lapack():
+    assert _kernels.backend() == "lapack"

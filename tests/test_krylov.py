@@ -65,6 +65,18 @@ class TestGMRES:
         assert rep.iterations == 1
         np.testing.assert_allclose(rep.solution, b / 3.0, rtol=1e-14)
 
+    def test_singular_hessenberg_reports_breakdown(self):
+        rep = gmres(lambda v: np.zeros_like(v), np.ones(5), SolveConfig())
+        assert rep.breakdown and not rep.converged
+        np.testing.assert_array_equal(rep.solution, np.zeros(5))
+        assert rep.true_residual == 1.0
+        # singular at the second step: the first step's iterate is kept
+        shift = np.array([[0.0, 1.0], [0.0, 0.0]])
+        rep = gmres(dense_apply(shift), np.array([0.0, 1.0]), SolveConfig())
+        assert rep.breakdown and not rep.converged and rep.iterations == 2
+        assert np.all(np.isfinite(rep.solution))
+        assert rep.true_residual == 1.0
+
     def test_max_iter_exceeded(self):
         a, b = random_well_conditioned(50, 13)
         rep = gmres(dense_apply(a), b, SolveConfig(rel_tol=1e-13, max_iter=3))

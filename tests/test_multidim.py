@@ -122,6 +122,11 @@ class TestTransfer2D:
                 interior.append(i)
         np.testing.assert_allclose(mat[interior], 1.0, atol=1e-5)
 
+    @pytest.mark.parametrize("chi", [math.nan, lambda x, y: np.where(x > 0.5, math.inf, 1.0)])
+    def test_non_finite_opacity_rejected(self, unit_grid_4, chi):
+        with pytest.raises(ValueError):
+            build_transfer_2d(unit_grid_4, chi=chi)
+
     def test_matrix_free_matches_dense_composition(self, unit_grid_8):
         op = build_transfer_2d(unit_grid_8, chi=1.3)
         dense = op.materialize()
@@ -135,14 +140,12 @@ class TestTransfer2D:
         # one family, constant source: each line reproduces its own 1D solution
         op = build_transfer_2d(unit_grid_8, chi=0.9)
         blk = op.blocks[3]
-        ones = np.ones(int(blk.node_offsets[-1]))
         from rtkrylov import _kernels
 
-        swept = _kernels.sweep_lines(blk.dtau, ones, blk.node_offsets, blk.dtau_offsets)
+        swept = _kernels.sweep(blk.band, blk.dtau * np.ones(blk.dtau.size))  # unit source
         for l in range(blk.node_offsets.size - 1):
             a, b = blk.node_offsets[l], blk.node_offsets[l + 1]
-            da, db = blk.dtau_offsets[l], blk.dtau_offsets[l + 1]
-            expected = lower_block(blk.dtau[da:db]) @ np.ones(b - a)
+            expected = lower_block(blk.dtau[a + 1:b]) @ np.ones(b - a)
             np.testing.assert_allclose(swept[a:b], expected, rtol=1e-13, atol=1e-15)
 
 

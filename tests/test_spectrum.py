@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rtkrylov import presets
-from rtkrylov.errors import ResourceLimitError
+from rtkrylov.errors import NumericalError, ResourceLimitError
 from rtkrylov.operator import materialize_A
 from rtkrylov.scattering import materialize_scattering
 from rtkrylov.spectrum import clustering_trend, compute_spectrum
@@ -53,6 +53,14 @@ class TestComputeSpectrum:
         rep = compute_spectrum(p, compute_singular=True)
         assert rep.singular_values is not None
         assert rep.singular_values.size == p.n_total
+
+    def test_eigensolver_failure_raises_numerical_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(NumericalError):
+            compute_spectrum(presets.monochromatic(4, 4))
 
     def test_dense_cap(self):
         p = presets.monochromatic(50, 12)

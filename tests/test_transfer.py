@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rtkrylov.errors import ResourceLimitError
-from rtkrylov.grid import FieldVector, Grid, Ordering, build_grid, permute
+from rtkrylov.grid import Grid, build_grid
 from rtkrylov.transfer import (
     apply_transfer,
     boundary_term,
@@ -123,24 +123,17 @@ class TestApply:
             ref = dense @ s
             np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-15)
 
-    def test_field_vector_round_trip_orderings(self):
-        g = build_grid(9, 4, 2, 0.0, 1.0)
-        op = build_transfer(g)
-        rng = np.random.default_rng(1)
-        s_space = FieldVector(rng.standard_normal(g.n_total), Ordering.SPACE_MAJOR)
-        out_space = apply_transfer(op, s_space)
-        assert out_space.ordering is Ordering.SPACE_MAJOR
-        s_ray = permute(g, s_space, Ordering.RAY_MAJOR)
-        out_ray = apply_transfer(op, s_ray)
-        assert out_ray.ordering is Ordering.RAY_MAJOR
-        back = permute(g, out_ray, Ordering.SPACE_MAJOR)
-        np.testing.assert_allclose(back.values, out_space.values, rtol=1e-15)
-
     def test_length_mismatch(self):
         g = build_grid(5, 2, 1, 0.0, 1.0)
         op = build_transfer(g)
         with pytest.raises(ValueError):
             apply_transfer(op, np.zeros(7))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_increments_rejected(self, bad):
+        g = build_grid(5, 2, 3, 0.0, 1.0, profile=lambda nu: np.where(nu > 0, bad, 1.0))
+        with pytest.raises(ValueError):
+            build_transfer(g)
 
     def test_pure_absorption_decays_along_propagation(self):
         g = build_grid(30, 4, 1, 0.0, 1.0)

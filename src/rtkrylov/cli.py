@@ -13,6 +13,7 @@ win. Exit codes: 0 success, 1 invalid configuration, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -267,9 +268,8 @@ def _run_convergence(cfg: dict, out_dir: Path) -> int:
         b = build_rhs(problem, override_ones=cfg["rhs_one"])
         size = f"ns{ns}_nomega{n_omega}_nnu{nnu}"
         for method in methods:
-            solver_cfg = SolveConfig(method=method, rel_tol=cfg["tol"],
-                                     max_iter=cfg["max_iter"], restart=cfg["restart"])
-            rep = solve_system(lambda v: apply_A(problem, v), b, solver_cfg)
+            rep = solve_system(lambda v: apply_A(problem, v), b,
+                               dataclasses.replace(_solve_config(cfg), method=method))
             any_failed |= not rep.converged
             for it, res in enumerate(rep.residual_history, start=1):
                 rows.append([size, method, str(it), _fmt(res),

@@ -23,7 +23,6 @@ class SolveConfig:
     rel_tol: float = 1e-12
     max_iter: int = 1000
     restart: Optional[int] = None    # GMRES only; None = no restart
-    reorthogonalize: bool = False    # second Gram-Schmidt pass
 
     def __post_init__(self):
         if self.rel_tol <= 0:
@@ -97,11 +96,6 @@ def gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
             for i in range(j + 1):
                 col[i] = float(np.dot(basis[i], w))
                 w -= col[i] * basis[i]
-            if cfg.reorthogonalize:
-                for i in range(j + 1):
-                    c = float(np.dot(basis[i], w))
-                    col[i] += c
-                    w -= c * basis[i]
             col[j + 1] = float(np.linalg.norm(w))
             breakdown = col[j + 1] < _ARNOLDI_BREAKDOWN * b_norm
             if not breakdown:

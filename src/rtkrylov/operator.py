@@ -61,7 +61,10 @@ def build_rhs(problem: RTProblem, override_ones: bool = False) -> np.ndarray:
     """
     if override_ones:
         return np.ones(problem.n_total)
-    return problem.transfer.apply_space_major(problem.thermal) + problem.transfer.boundary_space_major()
+    rhs = problem.transfer.boundary_space_major()
+    if problem.thermal.any():  # every preset's source is zero: skip its sweep
+        rhs = problem.transfer.apply_space_major(problem.thermal) + rhs
+    return rhs
 
 
 def materialize_A(problem: RTProblem, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 Each spatial node carries the product Gamma * Psi * W of the scattering
 coefficient, the symmetric kernel matrix over rays, and the quadrature
-weights. The matrix-free apply exploits kernel structure: separable Legendre
-kernels contract through L+1 angular moments, complete redistribution
-through a single profile moment, coherent scattering through per-frequency
-angular moments.
+weights. Every kernel is one low-rank factor Psi = P diag(d) P^T with a thin
+P (n_rays x r) whose rank stays fixed under grid refinement: the L+1
+Legendre polynomials at the ray directions, the single profile column of
+complete redistribution, or the n_freq frequency indicators of coherent
+scattering. The kernel matrix, the normalization and the matrix-free apply
+all derive from that factor; the apply contracts through the r moments.
 """
 
 from __future__ import annotations
@@ -33,12 +35,27 @@ class LegendreKernel:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
 
+    def factor(self, grid):
+        """P = Legendre polynomials at the ray directions, d = coefficients."""
+        d = np.asarray(self.coefficients)
+        return legendre_basis(d.size - 1, grid.ray_mu).T, d
+
 
 @dataclass(frozen=True)
 class CoherentKernel:
     """Isotropic kernel with no frequency redistribution (discrete delta in nu)."""
 
     profile: Callable
+
+    def factor(self, grid):
+        """P = ray-to-frequency-node indicator, d = phi(nu) / frequency weight.
+
+        The frequency weight divides out so that Gamma Psi W leaves a pure
+        angular integral per frequency.
+        """
+        p = (grid.ray_nu[:, None] == grid.nu_nodes[None, :]).astype(float)
+        pv = np.asarray(self.profile(grid.nu_nodes), dtype=float)
+        return p, pv / grid.frequency_weights
 
 
 @dataclass(frozen=True)
@@ -47,27 +64,19 @@ class CRDKernel:
 
     profile: Callable
 
+    def factor(self, grid):
+        """P = the profile column phi(nu), d = [1]."""
+        return np.asarray(self.profile(grid.ray_nu), dtype=float)[:, None], np.ones(1)
+
 
 Kernel = Union[LegendreKernel, CoherentKernel, CRDKernel]
 
 
 def psi_matrix(kernel: Kernel, grid) -> np.ndarray:
     """Symmetric kernel matrix over ray pairs (exact symmetry by construction)."""
-    if isinstance(kernel, LegendreKernel):
-        d = np.asarray(kernel.coefficients)
-        basis = legendre_basis(d.size - 1, grid.ray_mu)
-        m = basis.T @ (d[:, None] * basis)
-        return np.triu(m) + np.triu(m, 1).T
-    if isinstance(kernel, CRDKernel):
-        pv = np.asarray(kernel.profile(grid.ray_nu), dtype=float)
-        return np.outer(pv, pv)
-    if isinstance(kernel, CoherentKernel):
-        # couples only rays with the identical frequency node; the frequency
-        # weight divides out so that Gamma Psi W leaves a pure angular integral
-        pv = np.asarray(kernel.profile(grid.ray_nu), dtype=float)
-        same_nu = grid.ray_nu[:, None] == grid.ray_nu[None, :]
-        return np.where(same_nu, (pv / grid.ray_frequency_weight)[:, None], 0.0)
-    raise TypeError(f"unknown kernel {kernel!r}")
+    p, d = kernel.factor(grid)
+    m = p @ (d[:, None] * p.T)
+    return np.triu(m) + np.triu(m, 1).T
 
 
 @dataclass
@@ -75,6 +84,9 @@ class ScatteringOperator:
     grid: object
     kernel: Kernel
     gamma_table: np.ndarray  # (n_space, n_rays)
+    wpt: np.ndarray          # (r, n_rays) quadrature-weighted factor (W P)^T
+    d: np.ndarray            # (r,)
+    pt: np.ndarray           # (r, n_rays) P^T
 
     @property
     def n_total(self) -> int:
@@ -82,7 +94,7 @@ class ScatteringOperator:
 
 
 def build_scattering(grid, kernel: Kernel, gamma) -> ScatteringOperator:
-    """Sample the scattering coefficient and cache kernel contractions.
+    """Sample the scattering coefficient and cache the kernel factor.
 
     Rejects a non-finite coefficient or kernel with ValueError. Emits a
     diagnostic warning when max(gamma) * kernel normalization reaches one,
@@ -102,7 +114,9 @@ def build_scattering(grid, kernel: Kernel, gamma) -> ScatteringOperator:
             ScatteringStrengthWarning,
             stacklevel=2,
         )
-    return ScatteringOperator(grid=grid, kernel=kernel, gamma_table=gamma_table)
+    p, d = kernel.factor(grid)
+    pt = np.ascontiguousarray(p.T)
+    return ScatteringOperator(grid, kernel, gamma_table, pt * grid.combined_weights, d, pt)
 
 
 def apply_scattering(op: ScatteringOperator, field: np.ndarray) -> np.ndarray:
@@ -110,27 +124,10 @@ def apply_scattering(op: ScatteringOperator, field: np.ndarray) -> np.ndarray:
     values = np.asarray(field, dtype=float)
     if values.size != op.n_total:
         raise ValueError(f"expected length {op.n_total}, got {values.size}")
-    g = op.grid
-    mat = values.reshape(g.n_space, g.n_rays)
-    w = g.combined_weights
-    kernel = op.kernel
-    if isinstance(kernel, LegendreKernel):
-        d = np.asarray(kernel.coefficients)
-        basis = legendre_basis(d.size - 1, g.ray_mu)  # (L+1, n_rays)
-        moments = mat @ (w * basis).T                  # (n_space, L+1)
-        out = op.gamma_table * ((moments * d) @ basis)
-    elif isinstance(kernel, CRDKernel):
-        pv = np.asarray(kernel.profile(g.ray_nu), dtype=float)
-        m = mat @ (w * pv)                             # (n_space,)
-        out = op.gamma_table * np.outer(m, pv)
-    elif isinstance(kernel, CoherentKernel):
-        pv = np.asarray(kernel.profile(g.nu_nodes), dtype=float)
-        cube = mat.reshape(g.n_space, g.n_angles, g.n_freq)
-        ang = np.tensordot(cube, g.angular_weights, axes=([1], [0]))  # (n_space, n_freq)
-        out = op.gamma_table * np.tile(pv[None, :] * ang, (1, g.n_angles))
-    else:
-        raise TypeError(f"unknown kernel {kernel!r}")
-    return out.ravel()
+    # (W P)^T is stored row-major and read through its transpose: a row-major
+    # W P makes BLAS sum in another order and moves the last bits of the result
+    moments = values.reshape(op.grid.n_space, op.grid.n_rays) @ op.wpt.T  # (n_space, r)
+    return (op.gamma_table * ((moments * op.d) @ op.pt)).ravel()
 
 
 def materialize_scattering(op: ScatteringOperator, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
@@ -153,8 +150,9 @@ def kernel_normalization(kernel: Kernel, grid) -> float:
     Returns the double quadrature sum of the kernel against the combined
     weights, divided by the squared measure of the direction domain. Equals
     d_0 for Legendre kernels (higher orders integrate to zero against
-    constants) and the squared (truncated) profile mass for CRD.
+    constants) and the squared (truncated) profile mass for CRD. Contracts
+    through the factor, never forming the n_rays x n_rays kernel matrix.
     """
-    w = grid.combined_weights
-    psi = psi_matrix(kernel, grid)
-    return float(w @ (psi @ w)) / grid.sphere_measure**2
+    p, d = kernel.factor(grid)
+    s = grid.combined_weights @ p
+    return float(s @ (d * s)) / grid.sphere_measure**2

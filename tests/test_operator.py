@@ -101,6 +101,18 @@ class TestBuildRhs:
         expected = 3.0 * apply_transfer(p.transfer, np.ones(p.n_total))
         np.testing.assert_allclose(build_rhs(p), expected, rtol=1e-14)
 
+    @pytest.mark.parametrize("thermal, sweeps", [(0.0, 0), (3.0, 1)])
+    def test_thermal_swept_only_when_nonzero(self, monkeypatch, thermal, sweeps):
+        p = presets.crd(6, 4, 5)
+        p.thermal = np.full(p.n_total, thermal)
+        expected = p.transfer.apply_space_major(p.thermal) + p.transfer.boundary_space_major()
+        calls = []
+        sweep = p.transfer.apply_space_major
+        monkeypatch.setattr(p.transfer, "apply_space_major",
+                            lambda v: calls.append(1) or sweep(v))
+        assert np.array_equal(build_rhs(p), expected)
+        assert len(calls) == sweeps
+
     def test_physical_rhs_combines_boundary_and_thermal(self):
         p = presets.monochromatic(6, 4)
         b = build_rhs(p)

@@ -6,7 +6,8 @@ import pytest
 
 from rtkrylov.errors import ResourceLimitError
 from rtkrylov.grid import build_grid
-from rtkrylov.quadrature import legendre_eval
+from rtkrylov.multidim import CartesianGrid2D
+from rtkrylov.quadrature import legendre_basis, legendre_eval
 from rtkrylov.scattering import (
     CoherentKernel,
     CRDKernel,
@@ -24,6 +25,13 @@ L7_COEFFS = (1.0, 1.98398, 1.50823, 0.70075, 0.23489, 0.05133, 0.00760, 0.00048)
 
 def lorentzian(nu):
     return 1.0 / (np.pi * (np.asarray(nu) ** 2 + 1.0))
+
+
+KERNELS = [
+    lambda: LegendreKernel(L7_COEFFS),
+    lambda: CoherentKernel(lorentzian),
+    lambda: CRDKernel(lorentzian),
+]
 
 
 def gamma_half(t, mu, nu):
@@ -54,6 +62,44 @@ def kernel_phi(kernel, grid, r, rp):
     raise TypeError(kernel)
 
 
+def branch_psi_matrix(kernel, grid):
+    """Per-kernel assembly of Psi without the factor (bit-level oracle)."""
+    if isinstance(kernel, LegendreKernel):
+        d = np.asarray(kernel.coefficients)
+        basis = legendre_basis(d.size - 1, grid.ray_mu)
+        m = basis.T @ (d[:, None] * basis)
+        return np.triu(m) + np.triu(m, 1).T
+    if isinstance(kernel, CRDKernel):
+        pv = np.asarray(kernel.profile(grid.ray_nu), dtype=float)
+        return np.outer(pv, pv)
+    pv = np.asarray(kernel.profile(grid.ray_nu), dtype=float)
+    same_nu = grid.ray_nu[:, None] == grid.ray_nu[None, :]
+    return np.where(same_nu, (pv / grid.ray_frequency_weight)[:, None], 0.0)
+
+
+def branch_apply(op, field):
+    """Per-kernel matrix-free apply without the factor (bit-level oracle)."""
+    g = op.grid
+    mat = np.asarray(field, dtype=float).reshape(g.n_space, g.n_rays)
+    w = g.combined_weights
+    kernel = op.kernel
+    if isinstance(kernel, LegendreKernel):
+        d = np.asarray(kernel.coefficients)
+        basis = legendre_basis(d.size - 1, g.ray_mu)
+        moments = mat @ (w * basis).T
+        out = op.gamma_table * ((moments * d) @ basis)
+    elif isinstance(kernel, CRDKernel):
+        pv = np.asarray(kernel.profile(g.ray_nu), dtype=float)
+        m = mat @ (w * pv)
+        out = op.gamma_table * np.outer(m, pv)
+    else:
+        pv = np.asarray(kernel.profile(g.nu_nodes), dtype=float)
+        cube = mat.reshape(g.n_space, g.n_angles, g.n_freq)
+        ang = np.tensordot(cube, g.angular_weights, axes=([1], [0]))
+        out = op.gamma_table * np.tile(pv[None, :] * ang, (1, g.n_angles))
+    return out.ravel()
+
+
 def oracle_dense(grid, kernel, gamma):
     """Independent dense assembly from the kernel definition."""
     n_r, n_s = grid.n_rays, grid.n_space
@@ -76,6 +122,12 @@ def mono_grid():
 @pytest.fixture
 def poly_grid():
     return build_grid(4, 4, 5, 0.0, 1.0, f_lo=-10.0, f_hi=10.0, profile=lorentzian)
+
+
+@pytest.fixture
+def factor_grid():
+    """Enough directions for the full Legendre rank: 12 angles x 5 frequencies."""
+    return build_grid(5, 12, 5, 0.0, 1.0, f_lo=-10.0, f_hi=10.0, profile=lorentzian)
 
 
 class TestBuild:
@@ -140,11 +192,7 @@ class TestApply:
         out = apply_scattering(op, np.ones(mono_grid.n_total))
         np.testing.assert_allclose(out, 1.0, rtol=1e-13)
 
-    @pytest.mark.parametrize("kernel_factory", [
-        lambda: LegendreKernel(L7_COEFFS),
-        lambda: CoherentKernel(lorentzian),
-        lambda: CRDKernel(lorentzian),
-    ])
+    @pytest.mark.parametrize("kernel_factory", KERNELS)
     def test_matches_independent_dense_oracle(self, poly_grid, kernel_factory):
         kernel = kernel_factory()
         gamma = lambda t, mu, nu: 0.4 * (1.0 - t) * np.ones_like(mu + nu)
@@ -168,14 +216,13 @@ class TestApply:
 
 
 class TestStructure:
-    @pytest.mark.parametrize("kernel_factory", [
-        lambda: LegendreKernel(L7_COEFFS),
-        lambda: CoherentKernel(lorentzian),
-        lambda: CRDKernel(lorentzian),
-    ])
-    def test_psi_exactly_symmetric(self, poly_grid, kernel_factory):
-        psi = psi_matrix(kernel_factory(), poly_grid)
-        assert np.array_equal(psi, psi.T)
+    @pytest.mark.parametrize("kernel_factory", KERNELS)
+    def test_psi_exactly_symmetric(self, poly_grid, factor_grid, kernel_factory):
+        kernel = kernel_factory()
+        for grid in (poly_grid, factor_grid):
+            psi = psi_matrix(kernel, grid)
+            assert np.array_equal(psi, psi.T)
+            assert np.array_equal(psi, branch_psi_matrix(kernel, grid))
 
     def test_block_diagonal_exact_zeros(self, poly_grid):
         op = build_scattering(poly_grid, CRDKernel(lorentzian), gamma_depth)
@@ -236,3 +283,41 @@ class TestNormalization:
         g = build_grid(3, 8, 201, 0.0, 1.0, f_lo=-10.0, f_hi=10.0, profile=lorentzian)
         expected = (2.0 / math.pi) * math.atan(10.0)
         assert kernel_normalization(CoherentKernel(lorentzian), g) == pytest.approx(expected, abs=2e-3)
+
+
+class TestFactor:
+    @pytest.mark.parametrize("kernel_factory, rank", zip(KERNELS, (8, 5, 1)))
+    def test_thin_factor_has_kernel_rank(self, factor_grid, kernel_factory, rank):
+        p, d = kernel_factory().factor(factor_grid)
+        assert p.shape == (factor_grid.n_rays, rank)
+        assert d.shape == (rank,)
+        assert np.linalg.matrix_rank(p) == rank
+
+    @pytest.mark.parametrize("kernel_factory", KERNELS)
+    def test_apply_matches_branch_apply(self, factor_grid, kernel_factory):
+        kernel = kernel_factory()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ScatteringStrengthWarning)
+            op = build_scattering(factor_grid, kernel, gamma_depth)
+        v = np.random.default_rng(4).standard_normal(factor_grid.n_total)
+        out, expected = apply_scattering(op, v), branch_apply(op, v)
+        if isinstance(kernel, CoherentKernel):
+            # the frequency weight is multiplied into W P and divided out in d
+            assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))
+        else:
+            assert np.array_equal(out, expected)
+
+    def test_apply_matches_branch_apply_on_2d_grid(self):
+        grid = CartesianGrid2D(5, 4, 12)
+        op = build_scattering(grid, LegendreKernel(L7_COEFFS),
+                              lambda x, y, mu, nu: 0.4 * (1.0 - y) * np.ones_like(mu + nu))
+        assert np.array_equal(psi_matrix(op.kernel, grid), branch_psi_matrix(op.kernel, grid))
+        v = np.random.default_rng(5).standard_normal(grid.n_total)
+        assert np.array_equal(apply_scattering(op, v), branch_apply(op, v))
+
+    @pytest.mark.parametrize("kernel_factory", KERNELS)
+    def test_normalization_matches_dense_sum(self, factor_grid, kernel_factory):
+        kernel = kernel_factory()
+        w = factor_grid.combined_weights
+        dense = float(w @ (branch_psi_matrix(kernel, factor_grid) @ w)) / factor_grid.sphere_measure**2
+        assert kernel_normalization(kernel, factor_grid) == pytest.approx(dense, rel=1e-14)

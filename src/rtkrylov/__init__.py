@@ -14,13 +14,7 @@ __version__ = "0.1.0"
 from rtkrylov.quadrature import QuadratureRule, gauss_legendre, legendre_eval, trapezoid
 from rtkrylov.grid import FieldVector, Grid, Ordering, Ray, build_grid, delta_tau, permute
 from rtkrylov.errors import CoverageError, DENSE_CAP_DEFAULT, NumericalError, ResourceLimitError
-from rtkrylov.transfer import (
-    TransferOperator,
-    apply_transfer,
-    boundary_term,
-    build_transfer,
-    materialize_transfer,
-)
+from rtkrylov.transfer import TransferOperator, build_transfer, materialize_transfer
 from rtkrylov.scattering import (
     CoherentKernel,
     CRDKernel,
@@ -33,13 +27,7 @@ from rtkrylov.scattering import (
     materialize_scattering,
     psi_matrix,
 )
-from rtkrylov.operator import (
-    RTProblem,
-    apply_A,
-    build_rhs,
-    materialize_A,
-    spectral_radius_estimate,
-)
+from rtkrylov.operator import RTProblem, apply_A, build_rhs, materialize_A
 from rtkrylov.krylov import SolveConfig, SolveReport, bicgstab, gmres, solve_system
 from rtkrylov.spectrum import SpectrumReport, TrendSummary, clustering_trend, compute_spectrum
 from rtkrylov.multidim import (
@@ -52,7 +40,6 @@ from rtkrylov.multidim import (
     build_interpolators,
     build_transfer_2d,
     trace_rays,
-    write_family_csv,
 )
 from rtkrylov import presets
 
@@ -60,16 +47,15 @@ __all__ = [
     "QuadratureRule", "gauss_legendre", "legendre_eval", "trapezoid",
     "FieldVector", "Grid", "Ordering", "Ray", "build_grid", "delta_tau", "permute",
     "CoverageError", "DENSE_CAP_DEFAULT", "NumericalError", "ResourceLimitError",
-    "TransferOperator", "apply_transfer", "boundary_term", "build_transfer",
-    "materialize_transfer",
+    "TransferOperator", "build_transfer", "materialize_transfer",
     "CoherentKernel", "CRDKernel", "LegendreKernel", "ScatteringOperator",
     "ScatteringStrengthWarning", "apply_scattering", "build_scattering",
     "kernel_normalization", "materialize_scattering", "psi_matrix",
-    "RTProblem", "apply_A", "build_rhs", "materialize_A", "spectral_radius_estimate",
+    "RTProblem", "apply_A", "build_rhs", "materialize_A",
     "SolveConfig", "SolveReport", "bicgstab", "gmres", "solve_system",
     "SpectrumReport", "TrendSummary", "clustering_trend", "compute_spectrum",
     "CartesianGrid2D", "CharacteristicLine", "Interpolator", "RayFamily",
     "TransferOperator2D", "anisotropic_2d", "build_interpolators",
-    "build_transfer_2d", "trace_rays", "write_family_csv",
+    "build_transfer_2d", "trace_rays",
     "presets",
 ]

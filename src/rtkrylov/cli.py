@@ -7,16 +7,17 @@ Subcommands
     convergence  residual histories along a refinement ladder, CSV
 
 A JSON config file can supply any flag (underscored keys); explicit flags
-win. Exit codes: 0 success, 1 invalid configuration, 2 numerical failure.
+win, and a null value keeps the default. Exit codes: 0 success, 1 invalid
+configuration or usage, 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,27 @@ _G = "%.17g"
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ConfigError (exit 1); argparse itself exits 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+# one-value flags with the type that converts them, on the command line and
+# in a config file
+_TYPED_FLAGS = {
+    "nx": (int, "2D grid points in x"),
+    "ny": (int, "2D grid points in y"),
+    "tol": (float, "relative residual tolerance"),
+    "restart": (int, "GMRES restart length (default: no restart)"),
+    "max_iter": (int, "iteration limit"),
+    "gamma_scale": (float, "factor on the scattering coefficient"),
+    "dense_cap": (int, "largest N that is materialized densely"),
+    "out": (str, "output directory"),
+}
 
 
 def _fmt(x) -> str:
@@ -54,13 +76,13 @@ def _write_json(path: Path, payload) -> None:
 
 def _int_list(text) -> list:
     if isinstance(text, list):
-        return [int(v) for v in text]
+        return [int(str(v)) for v in text]  # as on the command line: 5.7 is rejected
     return [int(tok) for tok in str(text).split(",") if tok.strip()]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rtkrylov", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="rtkrylov", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode in ("solve", "spectrum", "table", "convergence"):
         p = sub.add_parser(mode)
@@ -68,19 +90,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ns", help="space nodes (comma list in table/convergence mode)")
         p.add_argument("--nomega", help="angular nodes (comma list in table mode)")
         p.add_argument("--nnu", help="frequency nodes (comma list in table/convergence mode)")
-        p.add_argument("--nx", type=int, help="2D grid points in x")
-        p.add_argument("--ny", type=int, help="2D grid points in y")
+        for key, (kind, text) in _TYPED_FLAGS.items():
+            p.add_argument("--" + key.replace("_", "-"), type=kind, dest=key, help=text)
         p.add_argument("--solver", choices=["gmres", "bicgstab"])
-        p.add_argument("--tol", type=float)
-        p.add_argument("--restart", type=int)
-        p.add_argument("--max-iter", type=int, dest="max_iter")
         p.add_argument("--rhs-one", action="store_const", const=True, dest="rhs_one",
                        help="use the constant right-hand side of ones")
-        p.add_argument("--gamma-scale", type=float, dest="gamma_scale")
-        p.add_argument("--dense-cap", type=int, dest="dense_cap")
-        p.add_argument("--out", help="output directory")
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--threads", type=int)
     return parser
 
 
@@ -99,8 +114,18 @@ _DEFAULTS = {
     "gamma_scale": 1.0,
     "dense_cap": DENSE_CAP_DEFAULT,
     "out": ".",
-    "threads": 1,
 }
+
+
+def _file_value(key: str, value):
+    """Convert a config-file value as its flag converts the same text."""
+    if key not in _TYPED_FLAGS:
+        return value
+    kind = _TYPED_FLAGS[key][0]
+    try:
+        return kind(str(value))
+    except ValueError:
+        raise ConfigError(f"config key {key!r} needs {kind.__name__}, got {value!r}") from None
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -112,9 +137,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        file_cfg = {k: _file_value(k, v) for k, v in file_cfg.items() if v is not None}
         cfg.update(file_cfg)
     for key in cfg:
         val = getattr(args, key, None)
@@ -145,8 +173,7 @@ def _scalar(cfg, key) -> int:
 
 
 def _echo_config(cfg: dict) -> dict:
-    echo = {k: v for k, v in cfg.items() if k not in ("out", "threads", "mode", "_solver_given")}
-    return echo
+    return {k: v for k, v in cfg.items() if k not in ("out", "mode", "_solver_given")}
 
 
 def _write_solution(path: Path, problem, solution) -> None:
@@ -211,32 +238,16 @@ def _run_spectrum(cfg: dict, out_dir: Path) -> int:
 def _run_table(cfg: dict, out_dir: Path) -> int:
     if cfg["preset"] == "aniso2d":
         raise ConfigError("table mode supports the 1D presets (mono, coherent, crd)")
-    cells = [
-        (ns, nom, nnu)
-        for ns in _int_list(cfg["ns"])
-        for nom in _int_list(cfg["nomega"])
-        for nnu in (_int_list(cfg["nnu"]) if cfg["preset"] != "mono" else [1])
-    ]
-
-    def one_cell(cell):
-        ns, nom, nnu = cell
-        n = ns * nom * nnu
-        if n > cfg["dense_cap"]:
-            return None
-        rep = compute_spectrum(_problem_from(cfg, ns, nom, nnu),
-                               dense_cap=cfg["dense_cap"])
-        return rep
-
-    with ThreadPoolExecutor(max_workers=max(1, cfg["threads"])) as pool:
-        reports = list(pool.map(one_cell, cells))
-
+    nnu_list = _int_list(cfg["nnu"]) if cfg["preset"] != "mono" else [1]
     rows = []
-    for (ns, nom, nnu), rep in zip(cells, reports):
-        if rep is None:
+    for ns, nom, nnu in itertools.product(_int_list(cfg["ns"]), _int_list(cfg["nomega"]),
+                                          nnu_list):
+        if ns * nom * nnu > cfg["dense_cap"]:
             print(f"skipping cell ns={ns} nomega={nom} nnu={nnu}: "
                   f"size {ns * nom * nnu} over dense cap {cfg['dense_cap']}",
                   file=sys.stderr)
             continue
+        rep = compute_spectrum(_problem_from(cfg, ns, nom, nnu), dense_cap=cfg["dense_cap"])
         rows.append([str(ns), str(nom), str(nnu), str(rep.n),
                      _fmt(rep.cluster_fraction_one_sided),
                      _fmt(rep.cluster_fraction),
@@ -281,9 +292,8 @@ def _run_convergence(cfg: dict, out_dir: Path) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _merge_config(args)
         out_dir = Path(cfg["out"])
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -7,6 +7,7 @@ against the true residual on convergence to guard against drift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,8 +26,8 @@ class SolveConfig:
     restart: Optional[int] = None    # GMRES only; None = no restart
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.restart is not None and self.restart < 1:

@@ -12,10 +12,9 @@ cartesian -> lines -> transfer -> cartesian.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -86,7 +85,6 @@ class CharacteristicLine:
     entry: np.ndarray        # boundary point where radiation enters
     length: float
     nodes: np.ndarray        # (m, 2) Cartesian coordinates, entry to exit
-    arc_step: float
 
     @property
     def n_nodes(self) -> int:
@@ -170,9 +168,7 @@ def trace_rays(grid: CartesianGrid2D, direction, spacing: Optional[float] = None
         m = max(2, int(math.ceil(length / step - 1e-9)) + 1)
         arc = np.linspace(0.0, length, m)
         nodes = p[None, :] + arc[:, None] * d[None, :]
-        lines[offset] = CharacteristicLine(
-            entry=p, length=length, nodes=nodes, arc_step=float(arc[1] - arc[0])
-        )
+        lines[offset] = CharacteristicLine(entry=p, length=length, nodes=nodes)
     ordered = [lines[key] for key in sorted(lines)]
     if not ordered:
         raise ValueError("no line intersects the domain")
@@ -185,14 +181,13 @@ class Interpolator:
 
     matrix: csr_matrix
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
-
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
+
+class InterpolatorPair(NamedTuple):
+    cart_to_ray: Interpolator  # bilinear, Cartesian nodes -> line nodes
+    ray_to_cart: Interpolator  # inverse distance, line nodes -> Cartesian nodes
 
 
 def _bilinear_rows(grid: CartesianGrid2D, points: np.ndarray):
@@ -218,7 +213,7 @@ def _bilinear_rows(grid: CartesianGrid2D, points: np.ndarray):
     return rows, cols, vals
 
 
-def build_interpolators(family: RayFamily, grid: CartesianGrid2D):
+def build_interpolators(family: RayFamily, grid: CartesianGrid2D) -> InterpolatorPair:
     """(cartesian->ray bilinear, ray->cartesian inverse distance) pair."""
     pts = family.all_nodes()
     rows, cols, vals = _bilinear_rows(grid, pts)
@@ -255,31 +250,36 @@ def build_interpolators(family: RayFamily, grid: CartesianGrid2D):
     ray_to_cart = Interpolator(csr_matrix(
         (vals, (rows, cols)), shape=(grid.n_space, family.n_nodes)
     ))
-    return cart_to_ray, ray_to_cart
+    return InterpolatorPair(cart_to_ray, ray_to_cart)
 
 
 @dataclass
-class _RayTransferBlock:
-    cart_to_ray: Interpolator
-    ray_to_cart: Interpolator
-    dtau: np.ndarray          # increment entering each line node, 0 at line entries
-    node_offsets: np.ndarray
-    band: np.ndarray          # marching matrix of all lines, see _kernels.band
-    boundary_ray: np.ndarray  # attenuated inflow on the line nodes
-
-
 class TransferOperator2D:
-    """Block-per-direction composed transfer with matrix-free apply."""
+    """Composed transfer over all directions with a matrix-free apply.
 
-    def __init__(self, grid: CartesianGrid2D, blocks: Sequence[_RayTransferBlock],
-                 families: Sequence[RayFamily]):
-        self.grid = grid
-        self.blocks = list(blocks)
-        self.families = list(families)
+    dtau, band and boundary run over the line nodes of every direction in
+    turn; direction k owns nodes offsets[k]:offsets[k + 1], and each apply
+    sweeps every direction on its slice of the one band.
+    """
+
+    grid: CartesianGrid2D
+    families: list            # RayFamily per direction
+    blocks: list              # InterpolatorPair per direction
+    dtau: np.ndarray          # increment entering each line node, 0 at line entries
+    band: np.ndarray          # marching matrix of all lines, see _kernels.band
+    boundary: np.ndarray      # attenuated inflow on the line nodes
+    offsets: np.ndarray = field(init=False)  # (n_rays + 1,) direction starts
+
+    def __post_init__(self):
+        counts = [fam.n_nodes for fam in self.families]
+        self.offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
 
     @property
     def n_total(self) -> int:
         return self.grid.n_total
+
+    def _slices(self):
+        return enumerate(zip(self.blocks, self.offsets[:-1], self.offsets[1:]))
 
     def apply_space_major(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -287,16 +287,16 @@ class TransferOperator2D:
             raise ValueError(f"expected length {self.n_total}, got {v.size}")
         mat = v.reshape(self.grid.n_space, self.grid.n_rays)
         out = np.empty_like(mat)
-        for k, blk in enumerate(self.blocks):
-            rhs = blk.cart_to_ray.apply(np.ascontiguousarray(mat[:, k]))
-            rhs *= blk.dtau
-            out[:, k] = blk.ray_to_cart.apply(_kernels.sweep(blk.band, rhs))
+        for k, (pair, a, b) in self._slices():
+            rhs = pair.cart_to_ray.matrix @ np.ascontiguousarray(mat[:, k])
+            rhs *= self.dtau[a:b]
+            out[:, k] = pair.ray_to_cart.matrix @ _kernels.sweep(self.band[:, a:b], rhs)
         return out.ravel()
 
     def boundary_space_major(self) -> np.ndarray:
         out = np.empty((self.grid.n_space, self.grid.n_rays))
-        for k, blk in enumerate(self.blocks):
-            out[:, k] = blk.ray_to_cart.apply(blk.boundary_ray)
+        for k, (pair, a, b) in self._slices():
+            out[:, k] = pair.ray_to_cart.matrix @ self.boundary[a:b]
         return out.ravel()
 
     def materialize(self, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
@@ -306,14 +306,14 @@ class TransferOperator2D:
         g = self.grid
         out = np.zeros((n, n))
         view = out.reshape(g.n_space, g.n_rays, g.n_space, g.n_rays)
-        for k, blk in enumerate(self.blocks):
-            m = blk.node_offsets[-1]
-            lam_r = np.zeros((m, m))
-            for l in range(blk.node_offsets.size - 1):
-                a, b = blk.node_offsets[l], blk.node_offsets[l + 1]
-                lam_r[a:b, a:b] = lower_block(blk.dtau[a + 1:b])
-            composed = blk.ray_to_cart.toarray() @ lam_r @ blk.cart_to_ray.toarray()
-            view[:, k, :, k] = composed
+        for k, (pair, a, b) in self._slices():
+            dtau, lines = self.dtau[a:b], self.families[k].node_offsets
+            lam_r = np.zeros((b - a, b - a))
+            for l in range(lines.size - 1):
+                i, j = lines[l], lines[l + 1]
+                lam_r[i:j, i:j] = lower_block(dtau[i + 1:j])
+            view[:, k, :, k] = (pair.ray_to_cart.matrix.toarray() @ lam_r
+                                @ pair.cart_to_ray.matrix.toarray())
         return out
 
 
@@ -321,7 +321,7 @@ def build_transfer_2d(grid: CartesianGrid2D, chi: Union[float, Callable] = 1.0,
                       inflow: Union[float, Callable] = 0.0,
                       spacing: Optional[float] = None,
                       node_step: Optional[float] = None) -> TransferOperator2D:
-    """Trace all direction families and assemble the composed transfer blocks.
+    """Trace all direction families and assemble the composed transfer.
 
     chi is the opacity (scalar or chi(x, y)); optical-depth increments are
     arc length times the midpoint opacity. inflow is the boundary intensity,
@@ -331,14 +331,12 @@ def build_transfer_2d(grid: CartesianGrid2D, chi: Union[float, Callable] = 1.0,
     chi_fn = chi if callable(chi) else (lambda x, y: np.full_like(np.asarray(x, dtype=float), float(chi)))
     inflow_fn = inflow if callable(inflow) else (lambda x, y: float(inflow))
 
-    blocks = []
-    families = []
+    families, blocks = [], []
+    dtau_parts, boundary_parts = [], []
     for k in range(grid.n_rays):
         family = trace_rays(grid, grid.directions[k], spacing=spacing, node_step=node_step)
         families.append(family)
-        cart_to_ray, ray_to_cart = build_interpolators(family, grid)
-        dtau_parts = []
-        boundary_parts = []
+        blocks.append(build_interpolators(family, grid))
         for line in family.lines:
             mids = 0.5 * (line.nodes[1:] + line.nodes[:-1])
             seg = np.linalg.norm(np.diff(line.nodes, axis=0), axis=1)
@@ -348,16 +346,13 @@ def build_transfer_2d(grid: CartesianGrid2D, chi: Union[float, Callable] = 1.0,
             dtau_parts.append(np.concatenate([[0.0], dtau_line]))
             value = float(inflow_fn(line.entry[0], line.entry[1]))
             boundary_parts.append(lower_decay(dtau_line) * value)
-        dtau = np.concatenate(dtau_parts)
-        blocks.append(_RayTransferBlock(
-            cart_to_ray=cart_to_ray,
-            ray_to_cart=ray_to_cart,
-            dtau=dtau,
-            node_offsets=family.node_offsets,
-            band=_kernels.band(dtau, family.node_offsets),
-            boundary_ray=np.concatenate(boundary_parts),
-        ))
-    return TransferOperator2D(grid, blocks, families)
+    dtau = np.concatenate(dtau_parts)
+    line_offsets = np.concatenate([[0], np.cumsum([p.size for p in dtau_parts])])
+    return TransferOperator2D(
+        grid=grid, families=families, blocks=blocks, dtau=dtau,
+        band=_kernels.band(dtau, line_offsets),
+        boundary=np.concatenate(boundary_parts),
+    )
 
 
 def anisotropic_2d(n_x: int, n_y: int, n_angles: int, gamma_scale: float = 1.0,
@@ -385,12 +380,3 @@ def anisotropic_2d(n_x: int, n_y: int, n_angles: int, gamma_scale: float = 1.0,
                     "n_space": grid.n_space, "n_freq": 1},
     )
 
-
-def write_family_csv(family: RayFamily, path) -> None:
-    """Line geometry as CSV rows (line id, node x, node y)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["line", "x", "y"])
-        for l, line in enumerate(family.lines):
-            for x, y in line.nodes:
-                writer.writerow([l, f"{x:.17g}", f"{y:.17g}"])

@@ -21,7 +21,6 @@ __all__ = [
     "apply_A",
     "build_rhs",
     "materialize_A",
-    "spectral_radius_estimate",
 ]
 
 
@@ -88,25 +87,3 @@ def materialize_A(problem: RTProblem, dense_cap: int = DENSE_CAP_DEFAULT) -> np.
     out[np.diag_indices(n)] += 1.0
     return out
 
-
-def spectral_radius_estimate(problem: RTProblem, iters: int = 50) -> float:
-    """Power-iteration estimate of the spectral radius of transfer * scattering.
-
-    Geometric mean of the last norm-growth ratios damps the oscillation that
-    complex-conjugate dominant pairs induce. Deterministic (fixed seed).
-    """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(problem.n_total)
-    v /= np.linalg.norm(v)
-    ratios = []
-    for _ in range(iters):
-        w = problem.transfer.apply_space_major(apply_scattering(problem.scattering, v))
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        ratios.append(norm)
-        v = w / norm
-    tail = ratios[-min(5, len(ratios)):]
-    return float(np.exp(np.mean(np.log(tail))))

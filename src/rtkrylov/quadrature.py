@@ -23,9 +23,6 @@ class QuadratureRule:
     weights: np.ndarray
     interval: tuple[float, float]
 
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
-
 
 def legendre_eval(l: int, x):
     """Evaluate the Legendre polynomial P_l at x (scalar or array, |x| <= 1).

@@ -1,7 +1,11 @@
-"""Dense eigenvalue/singular-value inspection and clustering diagnostics.
+"""Eigenvalue inspection and clustering diagnostics.
 
 Eigenvalues come from LAPACK's nonsymmetric solver (balancing, Hessenberg
-reduction, shifted QR) on the materialized operator. Two cluster counts are
+reduction, shifted QR). The scattering factors as Gamma Psi W = U V^T with
+k = n_space * r columns (r the kernel rank), so A = Id - Lambda U V^T has the
+eigenvalue one n - k times and 1 - eig(V^T Lambda U) for the rest: XY and YX
+share their nonzero eigenvalues. When k < n the solver runs on that k x k
+core, otherwise on the materialized operator. Two cluster counts are
 reported: the symmetric modulus interval [0.999, 1.001], and the literal
 one-sided [0.999, 1] interval guarded by a few ulps so that eigenvalues that
 are exactly one in exact arithmetic are not lost to rounding. Complex pairs
@@ -32,7 +36,6 @@ class SpectrumReport:
     min_modulus: float
     outlier_counts: dict           # eps -> #{|lambda - 1| > eps}
     descriptor: dict = field(default_factory=dict)
-    singular_values: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -40,18 +43,20 @@ class SpectrumReport:
 
 
 def compute_spectrum(problem: RTProblem, dense_cap: int = DENSE_CAP_DEFAULT,
-                     eps_values: Sequence[float] = DEFAULT_EPS_VALUES,
-                     compute_singular: bool = False) -> SpectrumReport:
-    """Full spectrum of the materialized global operator plus diagnostics.
+                     eps_values: Sequence[float] = DEFAULT_EPS_VALUES) -> SpectrumReport:
+    """Full spectrum of the global operator plus diagnostics.
 
     Raises NumericalError when the eigensolver does not converge.
     """
-    dense = materialize_A(problem, dense_cap=dense_cap)
+    core = _scattering_core(problem, dense_cap)
     try:
-        eigenvalues = np.linalg.eigvals(dense)
+        if core is None:
+            eigenvalues = np.linalg.eigvals(materialize_A(problem, dense_cap=dense_cap))
+        else:
+            eigenvalues = np.concatenate([1.0 - np.linalg.eigvals(core),
+                                          np.ones(problem.n_total - core.shape[0])])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-    singular = np.linalg.svd(dense, compute_uv=False) if compute_singular else None
 
     modulus = np.abs(eigenvalues)
     distance = np.abs(eigenvalues - 1.0)
@@ -67,8 +72,26 @@ def compute_spectrum(problem: RTProblem, dense_cap: int = DENSE_CAP_DEFAULT,
         min_modulus=float(modulus.min()),
         outlier_counts={float(e): int(np.sum(distance > e)) for e in eps_values},
         descriptor=descriptor,
-        singular_values=singular,
     )
+
+
+def _scattering_core(problem: RTProblem, dense_cap: int) -> Optional[np.ndarray]:
+    """The k x k core V^T Lambda U, or None when k = n_space * r is not below n.
+
+    At space node i, U holds diag(gamma_i) P diag(d) and V^T holds (W P)^T.
+    """
+    g, s = problem.grid, problem.scattering
+    r = s.d.size
+    k = g.n_space * r
+    if k >= problem.n_total:
+        return None
+    lam = problem.transfer.materialize(dense_cap)
+    n_r = g.n_rays
+    lam_u = np.empty((problem.n_total, g.n_space, r))
+    for i in range(g.n_space):
+        u_i = s.gamma_table[i][:, None] * s.pt.T * s.d  # (n_rays, r)
+        lam_u[:, i, :] = lam[:, i * n_r:(i + 1) * n_r] @ u_i
+    return (s.wpt @ lam_u.reshape(g.n_space, n_r, k)).reshape(k, k)
 
 
 @dataclass

@@ -17,7 +17,7 @@ import numpy as np
 
 from rtkrylov import _kernels
 from rtkrylov.errors import DENSE_CAP_DEFAULT, ResourceLimitError
-from rtkrylov.grid import FieldVector, Grid, Ordering
+from rtkrylov.grid import Grid
 
 
 def lower_block(dtau: np.ndarray) -> np.ndarray:
@@ -76,11 +76,34 @@ class TransferOperator:
         return self.grid.n_total
 
     # protocol shared with the 2D long-characteristics operator
-    def apply_space_major(self, v: np.ndarray) -> np.ndarray:
-        return apply_transfer(self, v)
+    def apply_space_major(self, source: np.ndarray) -> np.ndarray:
+        """Apply the homogeneous part (no boundary term) of the transfer operator.
+
+        source and result are space-major. Their transposed copy holds one
+        contiguous run per ray and is the right-hand side both sweeps solve in.
+        """
+        values = np.asarray(source, dtype=float)
+        if values.size != self.n_total:
+            raise ValueError(f"expected length {self.n_total}, got {values.size}")
+        g = self.grid
+        rhs = values.reshape(g.n_space, g.n_rays).T.copy()
+        down, up = rhs[:self.n_down], rhs[self.n_down:]
+        down[:, 0] = 0.0
+        down[:, 1:] *= self.dtau[:self.n_down]
+        up[:, -1] = 0.0
+        up[:, :-1] *= self.dtau[self.n_down:]
+        _kernels.sweep(self.band_down, down.reshape(-1), lower=True)
+        _kernels.sweep(self.band_up, up.reshape(-1), lower=False)
+        return rhs.T.ravel()
 
     def boundary_space_major(self) -> np.ndarray:
-        return boundary_term(self).values
+        """Inflow contribution: attenuation times the boundary intensity, space-major."""
+        q = np.cumprod(1.0 + self.dtau, axis=1)
+        qfull = np.concatenate([np.ones((self.grid.n_rays, 1)), q], axis=1)
+        d = self.n_down
+        decay = np.concatenate([1.0 / qfull[:d], qfull[d:] / qfull[d:, -1:]])
+        mat = decay * self.inflow[:, None]  # (n_rays, n_space)
+        return mat.T.ravel()
 
     def materialize(self, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
         return materialize_transfer(self, dense_cap)
@@ -113,37 +136,6 @@ def build_transfer(grid: Grid, i_in_deep=0.0, i_in_surf=0.0) -> TransferOperator
         band_down=_ray_band(dtau[:n_down], lower=True),
         band_up=_ray_band(dtau[n_down:], lower=False),
     )
-
-
-def apply_transfer(op: TransferOperator, source: np.ndarray) -> np.ndarray:
-    """Apply the homogeneous part (no boundary term) of the transfer operator.
-
-    source and result are space-major. Their transposed copy holds one
-    contiguous run per ray and is the right-hand side both sweeps solve in.
-    """
-    values = np.asarray(source, dtype=float)
-    if values.size != op.n_total:
-        raise ValueError(f"expected length {op.n_total}, got {values.size}")
-    g = op.grid
-    rhs = values.reshape(g.n_space, g.n_rays).T.copy()
-    down, up = rhs[:op.n_down], rhs[op.n_down:]
-    down[:, 0] = 0.0
-    down[:, 1:] *= op.dtau[:op.n_down]
-    up[:, -1] = 0.0
-    up[:, :-1] *= op.dtau[op.n_down:]
-    _kernels.sweep(op.band_down, down.reshape(-1), lower=True)
-    _kernels.sweep(op.band_up, up.reshape(-1), lower=False)
-    return rhs.T.ravel()
-
-
-def boundary_term(op: TransferOperator) -> FieldVector:
-    """Inflow contribution: attenuation times the boundary intensity, space-major."""
-    q = np.cumprod(1.0 + op.dtau, axis=1)
-    qfull = np.concatenate([np.ones((op.grid.n_rays, 1)), q], axis=1)
-    d = op.n_down
-    decay = np.concatenate([1.0 / qfull[:d], qfull[d:] / qfull[d:, -1:]])
-    mat = decay * op.inflow[:, None]  # (n_rays, n_space)
-    return FieldVector(mat.T.ravel(), Ordering.SPACE_MAJOR)
 
 
 def materialize_transfer(op: TransferOperator, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:

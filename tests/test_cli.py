@@ -98,6 +98,49 @@ class TestSolve:
         assert main(["solve", "--preset", "mono", "--ns", "10", "--nomega", "4",
                      "--gamma-scale", "nan", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tolerance_exit_code(self, tmp_path, tol):
+        assert main(["solve", "--preset", "mono", "--ns", "10", "--nomega", "4",
+                     "--tol", tol, "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("flags", [["--threads", "2"], ["--solver", "foo"],
+                                       ["--nx", "eight"]])
+    def test_usage_error_exit_code(self, tmp_path, capsys, flags):
+        assert main(["solve", "--preset", "mono", "--ns", "10", "--nomega", "4",
+                     "--out", str(tmp_path)] + flags) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--dense-cap" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", [{"tol": "x"}, {"nx": "eight"}, {"dense_cap": [50]},
+                                     {"max_iter": 2.5}, {"nx": True}, {"nomega": [[4]]},
+                                     {"nomega": [4.5]}, [1]])
+    def test_wrong_config_value_type_exit_code(self, tmp_path, capsys, bad):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(bad))
+        code = main(["solve", "--config", str(cfg_path), "--preset", "aniso2d",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_config_values_typed_like_flags(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"tol": 1, "nx": "6", "ny": 5, "restart": None}))
+        assert main(["solve", "--config", str(cfg_path), "--preset", "aniso2d",
+                     "--nomega", "4", "--rhs-one", "--out", str(tmp_path)]) == 0
+        echo = json.loads((tmp_path / "report.json").read_text())["config"]
+        assert echo["tol"] == 1.0 and echo["nx"] == 6 and echo["restart"] is None
+        _, rows = read_csv(tmp_path / "solution.csv")
+        assert len(rows) == 6 * 5 * 4
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"nsx": 3}))
@@ -150,13 +193,6 @@ class TestTable:
         _, rows = read_csv(tmp_path / "table.csv")
         assert len(rows) == 1
 
-    def test_threaded_matches_serial(self, tmp_path):
-        args = ["table", "--preset", "coherent", "--ns", "4,6", "--nomega", "4",
-                "--nnu", "3,5"]
-        main(args + ["--threads", "1", "--out", str(tmp_path / "serial")])
-        main(args + ["--threads", "4", "--out", str(tmp_path / "parallel")])
-        assert (tmp_path / "serial/table.csv").read_bytes() == \
-            (tmp_path / "parallel/table.csv").read_bytes()
 
 
 class TestConvergence:

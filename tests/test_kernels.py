@@ -5,7 +5,7 @@ from rtkrylov import _kernels
 from rtkrylov.errors import NumericalError
 from rtkrylov.grid import build_grid
 from rtkrylov.multidim import CartesianGrid2D, build_transfer_2d
-from rtkrylov.transfer import apply_transfer, build_transfer, lower_block, upper_block
+from rtkrylov.transfer import build_transfer, lower_block, upper_block
 
 
 # The implicit-Euler recursions as explicit loops: the reference the banded
@@ -133,7 +133,7 @@ def test_apply_transfer_matches_recursion_exactly():
     d = op.n_down
     expected = np.concatenate([march_down(op.dtau[:d], mat[:d]),
                                march_up(op.dtau[d:], mat[d:])])
-    assert np.array_equal(apply_transfer(op, s), expected.T.ravel())
+    assert np.array_equal(op.apply_space_major(s), expected.T.ravel())
 
 
 def test_2d_transfer_matches_recursion_exactly():
@@ -142,13 +142,14 @@ def test_2d_transfer_matches_recursion_exactly():
     v = np.random.default_rng(4).standard_normal(grid.n_total)
     mat = v.reshape(grid.n_space, grid.n_rays)
     expected = np.empty_like(mat)
-    for k, blk in enumerate(op.blocks):
-        node_off = blk.node_offsets
-        entry = np.zeros(blk.dtau.size, dtype=bool)
+    for k, (pair, family) in enumerate(zip(op.blocks, op.families)):
+        dtau = op.dtau[op.offsets[k]:op.offsets[k + 1]]
+        node_off = family.node_offsets
+        entry = np.zeros(dtau.size, dtype=bool)
         entry[node_off[:-1]] = True
-        swept = march_lines(blk.dtau[~entry], blk.cart_to_ray.apply(mat[:, k].copy()),
+        swept = march_lines(dtau[~entry], pair.cart_to_ray.matrix @ mat[:, k],
                             node_off, node_off - np.arange(node_off.size))
-        expected[:, k] = blk.ray_to_cart.apply(swept)
+        expected[:, k] = pair.ray_to_cart.matrix @ swept
     assert np.array_equal(op.apply_space_major(v), expected.ravel())
 
 

@@ -181,3 +181,8 @@ class TestSolveSystem:
             SolveConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             SolveConfig(restart=0)
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -np.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError):
+            SolveConfig(rel_tol=tol)

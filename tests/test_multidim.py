@@ -11,7 +11,6 @@ from rtkrylov.multidim import (
     build_interpolators,
     build_transfer_2d,
     trace_rays,
-    write_family_csv,
 )
 from rtkrylov.operator import apply_A, build_rhs, materialize_A
 from rtkrylov.transfer import lower_block
@@ -60,27 +59,19 @@ class TestTraceRays:
         with pytest.raises(ValueError):
             trace_rays(unit_grid_4, (0.0, 0.0))
 
-    def test_family_csv_export(self, unit_grid_4, tmp_path):
-        family = trace_rays(unit_grid_4, (1.0, 1.0))
-        path = tmp_path / "family.csv"
-        write_family_csv(family, path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "line,x,y"
-        assert len(rows) == 1 + family.n_nodes
-
 
 class TestInterpolators:
     def test_partition_of_unity(self, unit_grid_8):
         family = trace_rays(unit_grid_8, unit_grid_8.directions[1])
         c2r, r2c = build_interpolators(family, unit_grid_8)
-        np.testing.assert_allclose(c2r.apply(np.ones(unit_grid_8.n_space)), 1.0, atol=1e-14)
-        np.testing.assert_allclose(r2c.apply(np.ones(family.n_nodes)), 1.0, atol=1e-14)
+        np.testing.assert_allclose(c2r.matrix @ np.ones(unit_grid_8.n_space), 1.0, atol=1e-14)
+        np.testing.assert_allclose(r2c.matrix @ np.ones(family.n_nodes), 1.0, atol=1e-14)
 
     def test_row_sums_and_ranges(self, unit_grid_8):
         family = trace_rays(unit_grid_8, unit_grid_8.directions[2])
         for interp in build_interpolators(family, unit_grid_8):
             np.testing.assert_allclose(interp.row_sums(), 1.0, atol=1e-14)
-            dense = interp.toarray()
+            dense = interp.matrix.toarray()
             assert np.all(dense >= 0.0) and np.all(dense <= 1.0)
             # nonnegative rows summing to one: infinity norm is exactly one
             assert np.abs(dense).sum(axis=1).max() <= 1.0 + 1e-14
@@ -90,13 +81,13 @@ class TestInterpolators:
         family = trace_rays(unit_grid_8, unit_grid_8.directions[1])
         c2r, _ = build_interpolators(family, unit_grid_8)
         field = unit_grid_8.node_xy[:, 0]  # f(x, y) = x
-        at_nodes = c2r.apply(field)
+        at_nodes = c2r.matrix @ field
         np.testing.assert_allclose(at_nodes, family.all_nodes()[:, 0], atol=1e-13)
 
     def test_axis_aligned_selection(self, unit_grid_4):
         family = trace_rays(unit_grid_4, (1.0, 0.0))
         c2r, _ = build_interpolators(family, unit_grid_4)
-        dense = c2r.toarray()
+        dense = c2r.matrix.toarray()
         assert np.all((dense == 0.0) | (dense == 1.0))
         assert np.all(dense.sum(axis=1) == 1.0)
 
@@ -139,13 +130,14 @@ class TestTransfer2D:
     def test_lines_independent(self, unit_grid_8):
         # one family, constant source: each line reproduces its own 1D solution
         op = build_transfer_2d(unit_grid_8, chi=0.9)
-        blk = op.blocks[3]
+        first, last = op.offsets[3], op.offsets[4]
+        dtau, lines = op.dtau[first:last], op.families[3].node_offsets
         from rtkrylov import _kernels
 
-        swept = _kernels.sweep(blk.band, blk.dtau * np.ones(blk.dtau.size))  # unit source
-        for l in range(blk.node_offsets.size - 1):
-            a, b = blk.node_offsets[l], blk.node_offsets[l + 1]
-            expected = lower_block(blk.dtau[a + 1:b]) @ np.ones(b - a)
+        swept = _kernels.sweep(op.band[:, first:last], dtau.copy())  # unit source
+        for l in range(lines.size - 1):
+            a, b = lines[l], lines[l + 1]
+            expected = lower_block(dtau[a + 1:b]) @ np.ones(b - a)
             np.testing.assert_allclose(swept[a:b], expected, rtol=1e-13, atol=1e-15)
 
 

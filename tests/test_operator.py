@@ -5,8 +5,7 @@ import pytest
 
 from rtkrylov import presets
 from rtkrylov.errors import ResourceLimitError
-from rtkrylov.operator import apply_A, build_rhs, materialize_A, spectral_radius_estimate
-from rtkrylov.transfer import apply_transfer
+from rtkrylov.operator import apply_A, build_rhs, materialize_A
 
 
 class TestApplyA:
@@ -98,7 +97,7 @@ class TestBuildRhs:
         p = presets.monochromatic(6, 4)
         p.transfer.inflow[:] = 0.0
         p.thermal = np.full(p.n_total, 3.0)
-        expected = 3.0 * apply_transfer(p.transfer, np.ones(p.n_total))
+        expected = 3.0 * p.transfer.apply_space_major(np.ones(p.n_total))
         np.testing.assert_allclose(build_rhs(p), expected, rtol=1e-14)
 
     @pytest.mark.parametrize("thermal, sweeps", [(0.0, 0), (3.0, 1)])
@@ -132,28 +131,3 @@ class TestMaterializeA:
         with pytest.raises(ResourceLimitError):
             materialize_A(p, dense_cap=500)
 
-
-class TestSpectralRadiusEstimate:
-    def test_zero_for_identity(self):
-        p = presets.monochromatic(6, 4, gamma_scale=0.0)
-        assert spectral_radius_estimate(p, iters=5) == 0.0
-
-    def test_against_dense_spectrum_oracle(self):
-        p = presets.monochromatic(40, 12)
-        lam = np.linalg.eigvals(materialize_A(p))
-        rho_oracle = np.max(np.abs(1.0 - lam))
-        est = spectral_radius_estimate(p, iters=300)
-        assert est == pytest.approx(rho_oracle, rel=0.05)
-        assert est < 1.0
-
-    def test_homogeneity_in_gamma(self):
-        base = presets.monochromatic(12, 6, gamma_scale=1.0)
-        scaled = presets.monochromatic(12, 6, gamma_scale=0.35)
-        e1 = spectral_radius_estimate(base, iters=80)
-        e2 = spectral_radius_estimate(scaled, iters=80)
-        assert e2 == pytest.approx(0.35 * e1, rel=1e-10)
-
-    def test_rejects_bad_iters(self):
-        p = presets.monochromatic(5, 4)
-        with pytest.raises(ValueError):
-            spectral_radius_estimate(p, iters=0)

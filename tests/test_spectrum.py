@@ -48,11 +48,24 @@ class TestComputeSpectrum:
         cutoff = 8 * p.grid.n_space
         assert sv[cutoff] <= 1e-10 * sv[0]
 
-    def test_singular_values_on_request(self):
-        p = presets.monochromatic(5, 4)
-        rep = compute_spectrum(p, compute_singular=True)
-        assert rep.singular_values is not None
-        assert rep.singular_values.size == p.n_total
+    @pytest.mark.parametrize("preset,params", [
+        ("mono", dict(n_space=12, n_angles=12)),
+        ("coherent", dict(n_space=6, n_angles=8, n_freq=5)),
+        ("crd", dict(n_space=6, n_angles=8, n_freq=5)),
+    ])
+    def test_reduced_core_matches_dense_eigensolve(self, preset, params):
+        p = presets.build(preset, **params)
+        rep = compute_spectrum(p)
+        lam = np.linalg.eigvals(materialize_A(p))
+        assert rep.n == lam.size
+        modulus = np.abs(lam)
+        assert rep.cluster_fraction == np.mean((modulus >= 0.999) & (modulus <= 1.001))
+        assert rep.min_modulus == pytest.approx(modulus.min(), abs=1e-12)
+        assert rep.outlier_counts == {e: int(np.sum(np.abs(lam - 1.0) > e))
+                                      for e in rep.outlier_counts}
+        np.testing.assert_allclose(np.sum(rep.eigenvalues), np.trace(materialize_A(p)), atol=1e-10)
+        far = lambda v: np.sort_complex(v[np.abs(v - 1.0) > 1e-3])
+        np.testing.assert_allclose(far(rep.eigenvalues), far(lam), atol=1e-10)
 
     def test_eigensolver_failure_raises_numerical_error(self, monkeypatch):
         def fail(a):

@@ -4,8 +4,6 @@ import pytest
 from rtkrylov.errors import ResourceLimitError
 from rtkrylov.grid import Grid, build_grid
 from rtkrylov.transfer import (
-    apply_transfer,
-    boundary_term,
     build_transfer,
     lower_block,
     lower_decay,
@@ -100,14 +98,14 @@ class TestApply:
     def test_zero_source(self):
         g = build_grid(n_space=6, n_angles=4, n_freq=1, t_surf=0.0, t_deep=1.0)
         op = build_transfer(g, i_in_deep=1.0, i_in_surf=0.0)
-        out = apply_transfer(op, np.zeros(g.n_total))
+        out = op.apply_space_major(np.zeros(g.n_total))
         assert np.all(out == 0.0)
 
     def test_two_node_single_down_ray(self):
         g = single_ray_grid(mu=-0.5, n_space=2, dtau_value=1.0)
         op = build_transfer(g)
         s = np.array([3.0, 4.0])
-        out = apply_transfer(op, s)
+        out = op.apply_space_major(s)
         np.testing.assert_allclose(out, [0.0, 0.5 * 4.0])
 
     @pytest.mark.parametrize("n_space,n_angles,n_freq", [(7, 4, 3), (25, 6, 5), (40, 12, 1)])
@@ -119,7 +117,7 @@ class TestApply:
         rng = np.random.default_rng(42)
         for _ in range(10):
             s = rng.standard_normal(g.n_total)
-            out = apply_transfer(op, s)
+            out = op.apply_space_major(s)
             ref = dense @ s
             np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-15)
 
@@ -127,7 +125,7 @@ class TestApply:
         g = build_grid(5, 2, 1, 0.0, 1.0)
         op = build_transfer(g)
         with pytest.raises(ValueError):
-            apply_transfer(op, np.zeros(7))
+            op.apply_space_major(np.zeros(7))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_increments_rejected(self, bad):
@@ -138,8 +136,8 @@ class TestApply:
     def test_pure_absorption_decays_along_propagation(self):
         g = build_grid(30, 4, 1, 0.0, 1.0)
         op = build_transfer(g, i_in_deep=1.0, i_in_surf=1.0)
-        full = boundary_term(op)  # S = 0 -> intensity is just the boundary part
-        mat = full.values.reshape(g.n_space, g.n_rays)
+        full = op.boundary_space_major()  # S = 0 -> intensity is just the boundary part
+        mat = full.reshape(g.n_space, g.n_rays)
         for k, ray in enumerate(g.rays):
             ray_profile = mat[:, k]
             if ray.mu < 0:  # enters at t_surf, marches toward deep
@@ -152,7 +150,7 @@ class TestBoundaryTerm:
     def test_reference_setting_downward_zero(self):
         g = build_grid(8, 6, 1, 0.0, 1.0)
         op = build_transfer(g, i_in_deep=1.0, i_in_surf=0.0)
-        vals = boundary_term(op).values.reshape(g.n_space, g.n_rays)
+        vals = op.boundary_space_major().reshape(g.n_space, g.n_rays)
         down = np.array([r.mu < 0 for r in g.rays])
         assert np.all(vals[:, down] == 0.0)
         assert np.all(vals[:, ~down] > 0.0)
@@ -160,17 +158,17 @@ class TestBoundaryTerm:
     def test_hand_unrolled_up_ray(self):
         g = single_ray_grid(mu=0.5, n_space=3, dtau_value=1.0)
         op = build_transfer(g, i_in_deep=1.0, i_in_surf=0.0)
-        np.testing.assert_allclose(boundary_term(op).values, [0.25, 0.5, 1.0])
+        np.testing.assert_allclose(op.boundary_space_major(), [0.25, 0.5, 1.0])
 
     def test_zero_inflow(self):
         g = build_grid(6, 4, 2, 0.0, 1.0)
         op = build_transfer(g)
-        assert np.all(boundary_term(op).values == 0.0)
+        assert np.all(op.boundary_space_major() == 0.0)
 
     def test_boundary_nodes_carry_exact_inflow(self):
         g = build_grid(12, 4, 1, 0.0, 1.0)
         op = build_transfer(g, i_in_deep=2.5, i_in_surf=1.5)
-        vals = boundary_term(op).values.reshape(g.n_space, g.n_rays)
+        vals = op.boundary_space_major().reshape(g.n_space, g.n_rays)
         for k, ray in enumerate(g.rays):
             if ray.mu < 0:
                 assert vals[0, k] == 2.5 or vals[0, k] == 1.5

@@ -1,10 +1,12 @@
 """The transfer sweep: all rays or characteristic lines in one banded solve.
 
-Along one ray the implicit-Euler recursion
+Every ray and line is stored entry-first: node 0 is where radiation enters,
+and dtau[j] is the increment entering node j (zero at the entry). Along one
+ray the implicit-Euler recursion
 
-    out_entry = 0,  (1 + dtau_i) out_next - out_prev = dtau_i * src_next
+    out_entry = rhs_entry,  (1 + dtau_i) out_i - out_{i-1} = rhs_i
 
-is a bidiagonal triangular system. Rays laid end to end give one bidiagonal
+is then a lower-bidiagonal system. Rays laid end to end give one bidiagonal
 matrix whose coupling is cut at every entry node, so a single LAPACK
 ``dtbtrs`` call marches all of them. Substitution performs the recursion's
 operations in the same order (add the marched value, divide by 1 + dtau),
@@ -23,34 +25,32 @@ def backend() -> str:
     return "lapack"
 
 
-def band(dtau: np.ndarray, offsets: np.ndarray, lower: bool = True) -> np.ndarray:
-    """Banded (2, n) storage of the marching matrix of concatenated rays.
+def band(dtau: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Lower banded (2, n) storage of the marching matrix of concatenated rays.
 
-    Ray l holds nodes offsets[l]:offsets[l + 1]; dtau[j] is the increment
-    entering node j (zero at entry nodes). A lower band marches each ray
-    forward from its first node, an upper band backward from its last.
-    Fortran order lets LAPACK read the band without a copy.
+    Ray l holds nodes offsets[l]:offsets[l + 1], entry first; dtau[j] is the
+    increment entering node j (zero at entry nodes). Fortran order lets
+    LAPACK read the band without a copy.
     """
     ab = np.empty((2, dtau.size), order="F")
-    diag, off = (ab[0], ab[1]) if lower else (ab[1], ab[0])
-    np.add(1.0, dtau, out=diag)
-    off[:] = -1.0
-    off[offsets[1:] - 1 if lower else offsets[:-1]] = 0.0
+    np.add(1.0, dtau, out=ab[0])
+    ab[1] = -1.0
+    ab[1, offsets[1:] - 1] = 0.0
     return ab
 
 
-def sweep(ab: np.ndarray, rhs: np.ndarray, lower: bool = True) -> np.ndarray:
+def sweep(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the marching system in place and return rhs.
 
-    rhs must already hold the weighted sources dtau * src (zero at entry
-    nodes); it is overwritten with the intensities. It must be contiguous,
-    since LAPACK would otherwise solve in a copy.
+    rhs holds the weighted sources dtau * src for the homogeneous transfer,
+    or the inflow at each entry node (zero elsewhere) for the boundary term;
+    it is overwritten with the intensities. It must be contiguous, since
+    LAPACK would otherwise solve in a copy.
     """
     if rhs.dtype != np.float64 or not rhs.flags.c_contiguous:
         raise ValueError("sweep needs a C-contiguous float64 right-hand side")
     if rhs.size:
-        _, info = dtbtrs(ab, rhs.reshape(rhs.size, 1), uplo="L" if lower else "U",
-                         overwrite_b=1)
+        _, info = dtbtrs(ab, rhs.reshape(rhs.size, 1), uplo="L", overwrite_b=1)
         if info != 0:
             raise NumericalError(f"singular transfer sweep (LAPACK dtbtrs info={info})")
     return rhs

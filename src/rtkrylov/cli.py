@@ -119,6 +119,8 @@ _DEFAULTS = {
 
 def _file_value(key: str, value):
     """Convert a config-file value as its flag converts the same text."""
+    if key == "rhs_one" and not isinstance(value, bool):
+        raise ConfigError(f"config key 'rhs_one' needs true, false or null, got {value!r}")
     if key not in _TYPED_FLAGS:
         return value
     kind = _TYPED_FLAGS[key][0]

@@ -24,7 +24,7 @@ from rtkrylov import _kernels
 from rtkrylov.errors import CoverageError, DENSE_CAP_DEFAULT, ResourceLimitError
 from rtkrylov.operator import RTProblem
 from rtkrylov.scattering import LegendreKernel, build_scattering
-from rtkrylov.transfer import lower_block, lower_decay
+from rtkrylov.transfer import lower_block
 
 _SNAP = 1e-12
 
@@ -191,26 +191,21 @@ class InterpolatorPair(NamedTuple):
 
 
 def _bilinear_rows(grid: CartesianGrid2D, points: np.ndarray):
-    rows, cols, vals = [], [], []
-    for r, (x, y) in enumerate(points):
-        ix = min(max(int((x - grid.x0) / grid.hx), 0), grid.n_x - 2)
-        iy = min(max(int((y - grid.y0) / grid.hy), 0), grid.n_y - 2)
-        fx = (x - grid.x_nodes[ix]) / grid.hx
-        fy = (y - grid.y_nodes[iy]) / grid.hy
-        fx = 0.0 if fx < _SNAP else (1.0 if fx > 1.0 - _SNAP else fx)
-        fy = 0.0 if fy < _SNAP else (1.0 if fy > 1.0 - _SNAP else fy)
-        stencil = (
-            (ix, iy, (1.0 - fx) * (1.0 - fy)),
-            (ix + 1, iy, fx * (1.0 - fy)),
-            (ix, iy + 1, (1.0 - fx) * fy),
-            (ix + 1, iy + 1, fx * fy),
-        )
-        for jx, jy, w in stencil:
-            if w != 0.0:
-                rows.append(r)
-                cols.append(jx * grid.n_y + jy)
-                vals.append(w)
-    return rows, cols, vals
+    """(rows, cols, vals) of the bilinear stencils, four per point, zeros dropped."""
+    x, y = points[:, 0], points[:, 1]
+    ix = np.clip(((x - grid.x0) / grid.hx).astype(np.int64), 0, grid.n_x - 2)
+    iy = np.clip(((y - grid.y0) / grid.hy).astype(np.int64), 0, grid.n_y - 2)
+    fx = (x - grid.x_nodes[ix]) / grid.hx
+    fy = (y - grid.y_nodes[iy]) / grid.hy
+    fx = np.where(fx < _SNAP, 0.0, np.where(fx > 1.0 - _SNAP, 1.0, fx))
+    fy = np.where(fy < _SNAP, 0.0, np.where(fy > 1.0 - _SNAP, 1.0, fy))
+    base = ix * grid.n_y + iy
+    cols = np.column_stack([base, base + grid.n_y, base + 1, base + grid.n_y + 1])
+    vals = np.column_stack([(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy),
+                            (1.0 - fx) * fy, fx * fy])
+    keep = vals != 0.0
+    rows = np.broadcast_to(np.arange(points.shape[0])[:, None], keep.shape)
+    return rows[keep], cols[keep], vals[keep]
 
 
 def build_interpolators(family: RayFamily, grid: CartesianGrid2D) -> InterpolatorPair:
@@ -233,22 +228,17 @@ def build_interpolators(family: RayFamily, grid: CartesianGrid2D) -> Interpolato
             f"ray family too sparse: a Cartesian node is {worst:.3g} away from "
             f"the nearest line node (limit {reach:.3g})"
         )
-    rows, cols, vals = [], [], []
-    snap = _SNAP * max(grid.hx, grid.hy)
-    for r in range(grid.n_space):
-        if dist[r, 0] <= snap:
-            rows.append(r)
-            cols.append(int(idx[r, 0]))
-            vals.append(1.0)
-            continue
-        inv = 1.0 / dist[r]
-        w = inv / inv.sum()
-        for j in range(k):
-            rows.append(r)
-            cols.append(int(idx[r, j]))
-            vals.append(float(w[j]))
+    # a node on a line takes that line node alone; the others weigh their k
+    # nearest line nodes by inverse distance
+    exact = dist[:, 0] <= _SNAP * max(grid.hx, grid.hy)
+    vals = np.zeros((grid.n_space, k))
+    vals[exact, 0] = 1.0
+    inv = 1.0 / dist[~exact]
+    vals[~exact] = inv / inv.sum(axis=1, keepdims=True)
+    keep = ~exact[:, None] | (np.arange(k) == 0)
+    rows = np.broadcast_to(np.arange(grid.n_space)[:, None], keep.shape)
     ray_to_cart = Interpolator(csr_matrix(
-        (vals, (rows, cols)), shape=(grid.n_space, family.n_nodes)
+        (vals[keep], (rows[keep], idx[keep])), shape=(grid.n_space, family.n_nodes)
     ))
     return InterpolatorPair(cart_to_ray, ray_to_cart)
 
@@ -267,7 +257,7 @@ class TransferOperator2D:
     blocks: list              # InterpolatorPair per direction
     dtau: np.ndarray          # increment entering each line node, 0 at line entries
     band: np.ndarray          # marching matrix of all lines, see _kernels.band
-    boundary: np.ndarray      # attenuated inflow on the line nodes
+    boundary: np.ndarray      # attenuated inflow on the line nodes, swept at build time
     offsets: np.ndarray = field(init=False)  # (n_rays + 1,) direction starts
 
     def __post_init__(self):
@@ -332,7 +322,7 @@ def build_transfer_2d(grid: CartesianGrid2D, chi: Union[float, Callable] = 1.0,
     inflow_fn = inflow if callable(inflow) else (lambda x, y: float(inflow))
 
     families, blocks = [], []
-    dtau_parts, boundary_parts = [], []
+    dtau_parts, entry_values = [], []
     for k in range(grid.n_rays):
         family = trace_rays(grid, grid.directions[k], spacing=spacing, node_step=node_step)
         families.append(family)
@@ -344,14 +334,15 @@ def build_transfer_2d(grid: CartesianGrid2D, chi: Union[float, Callable] = 1.0,
             if not np.all(np.isfinite(dtau_line)):
                 raise ValueError("optical-depth increments must be finite")
             dtau_parts.append(np.concatenate([[0.0], dtau_line]))
-            value = float(inflow_fn(line.entry[0], line.entry[1]))
-            boundary_parts.append(lower_decay(dtau_line) * value)
+            entry_values.append(float(inflow_fn(line.entry[0], line.entry[1])))
     dtau = np.concatenate(dtau_parts)
     line_offsets = np.concatenate([[0], np.cumsum([p.size for p in dtau_parts])])
+    band = _kernels.band(dtau, line_offsets)
+    boundary = np.zeros_like(dtau)
+    boundary[line_offsets[:-1]] = entry_values
     return TransferOperator2D(
-        grid=grid, families=families, blocks=blocks, dtau=dtau,
-        band=_kernels.band(dtau, line_offsets),
-        boundary=np.concatenate(boundary_parts),
+        grid=grid, families=families, blocks=blocks, dtau=dtau, band=band,
+        boundary=_kernels.sweep(band, boundary),
     )
 
 

@@ -1,12 +1,13 @@
 """Block-diagonal transfer operator: per-ray triangular integral blocks.
 
 Radiation marches along each ray with the implicit-Euler formal solver.
-Downward rays (mu < 0) enter at the surface and give lower-triangular blocks
-with a zero first row; upward rays (mu > 0) enter at depth and give
-upper-triangular blocks with a zero last row. The matrix-free apply marches
-the O(n_space) recursion of every ray in one banded solve (see _kernels);
-dense blocks are assembled from the closed-form coefficient products and
-serve as the independent testing path.
+Every ray is stored entry-first: downward rays (mu < 0) enter at the surface
+and keep the space order, upward rays (mu > 0) enter at depth and are
+reversed in space. In its own order each ray's block is lower triangular
+with a zero first row, so one lower band marches every ray (see _kernels)
+and the boundary term is that same sweep of the inflow. Dense blocks are
+assembled from the closed-form coefficient products and serve as the
+independent testing path.
 """
 
 from __future__ import annotations
@@ -21,32 +22,15 @@ from rtkrylov.grid import Grid
 
 
 def lower_block(dtau: np.ndarray) -> np.ndarray:
-    """Dense downward-ray block from the closed-form coefficients.
+    """Dense block of one ray in its marching order, from the closed-form coefficients.
 
-    Entry (i, j) is dtau_{j-1} / prod_{l=j..i} (1 + dtau_{l-1}) in 1-based
-    indexing; the first row is zero (inflow node carries no source term).
+    dtau holds the ray's n - 1 increments in marching order. Entry (i, j) is
+    dtau_{j-1} / prod_{l=j..i} (1 + dtau_{l-1}) in 1-based indexing; the
+    first row is zero (inflow node carries no source term).
     """
     q = np.concatenate([[1.0], np.cumprod(1.0 + dtau)])  # q[m] = prod_{l<=m}
     col = np.concatenate([[0.0], dtau * q[:-1]])
     return np.tril(np.outer(1.0 / q, col))
-
-
-def upper_block(dtau: np.ndarray) -> np.ndarray:
-    """Dense upward-ray block; entry (i, j) = dtau_j / prod_{l=i..j} (1 + dtau_l)."""
-    q = np.concatenate([[1.0], np.cumprod(1.0 + dtau)])
-    col = np.concatenate([dtau / q[1:], [0.0]])
-    return np.triu(np.outer(q, col))
-
-
-def lower_decay(dtau: np.ndarray) -> np.ndarray:
-    """Boundary attenuation f_i = 1 / prod_{l<i} (1 + dtau_l); f_1 = 1."""
-    return np.concatenate([[1.0], 1.0 / np.cumprod(1.0 + dtau)])
-
-
-def upper_decay(dtau: np.ndarray) -> np.ndarray:
-    """Boundary attenuation h_i = 1 / prod_{l=i..n-1} (1 + dtau_l); h_n = 1."""
-    q = np.concatenate([[1.0], np.cumprod(1.0 + dtau)])
-    return q / q[-1]
 
 
 def _per_frequency_values(grid: Grid, value) -> np.ndarray:
@@ -65,81 +49,79 @@ def _per_frequency_values(grid: Grid, value) -> np.ndarray:
 @dataclass
 class TransferOperator:
     grid: Grid
-    dtau: np.ndarray          # (n_rays, n_space - 1) optical-depth increments
+    dtau: np.ndarray          # (n_rays, n_space) increment entering each node, entry-first
     n_down: int               # rays 0..n_down-1 enter at the surface (mu < 0)
-    inflow: np.ndarray        # (n_rays,) boundary intensity feeding each ray
-    band_down: np.ndarray     # marching matrix of the mu < 0 rays (lower band)
-    band_up: np.ndarray       # marching matrix of the mu > 0 rays (upper band)
+    band: np.ndarray          # marching matrix of all rays, see _kernels.band
+    boundary: np.ndarray      # (n_rays, n_space) attenuated inflow, entry-first
 
     @property
     def n_total(self) -> int:
         return self.grid.n_total
 
+    def _to_space_major(self, rays: np.ndarray) -> np.ndarray:
+        """Space-major copy of an entry-first (n_rays, n_space) ray array."""
+        d = self.n_down
+        out = np.empty((self.grid.n_space, self.grid.n_rays))
+        out[:, :d] = rays[:d].T
+        out[::-1, d:] = rays[d:].T
+        return out.ravel()
+
     # protocol shared with the 2D long-characteristics operator
     def apply_space_major(self, source: np.ndarray) -> np.ndarray:
         """Apply the homogeneous part (no boundary term) of the transfer operator.
 
-        source and result are space-major. Their transposed copy holds one
-        contiguous run per ray and is the right-hand side both sweeps solve in.
+        source and result are space-major; the sweep runs on an entry-first
+        copy that holds one contiguous run per ray.
         """
         values = np.asarray(source, dtype=float)
         if values.size != self.n_total:
             raise ValueError(f"expected length {self.n_total}, got {values.size}")
-        g = self.grid
-        rhs = values.reshape(g.n_space, g.n_rays).T.copy()
-        down, up = rhs[:self.n_down], rhs[self.n_down:]
-        down[:, 0] = 0.0
-        down[:, 1:] *= self.dtau[:self.n_down]
-        up[:, -1] = 0.0
-        up[:, :-1] *= self.dtau[self.n_down:]
-        _kernels.sweep(self.band_down, down.reshape(-1), lower=True)
-        _kernels.sweep(self.band_up, up.reshape(-1), lower=False)
-        return rhs.T.ravel()
+        mat = values.reshape(self.grid.n_space, self.grid.n_rays)
+        d = self.n_down
+        rhs = np.empty_like(self.dtau)
+        rhs[:d] = mat[:, :d].T
+        rhs[d:] = mat[::-1, d:].T
+        rhs *= self.dtau
+        _kernels.sweep(self.band, rhs.reshape(-1))
+        return self._to_space_major(rhs)
 
     def boundary_space_major(self) -> np.ndarray:
         """Inflow contribution: attenuation times the boundary intensity, space-major."""
-        q = np.cumprod(1.0 + self.dtau, axis=1)
-        qfull = np.concatenate([np.ones((self.grid.n_rays, 1)), q], axis=1)
-        d = self.n_down
-        decay = np.concatenate([1.0 / qfull[:d], qfull[d:] / qfull[d:, -1:]])
-        mat = decay * self.inflow[:, None]  # (n_rays, n_space)
-        return mat.T.ravel()
+        return self._to_space_major(self.boundary)
 
     def materialize(self, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
         return materialize_transfer(self, dense_cap)
 
 
-def _ray_band(dtau: np.ndarray, lower: bool) -> np.ndarray:
-    """Band of equal-length rays; each ray's entry node gets a zero increment."""
-    n_rays, n_space = dtau.shape[0], dtau.shape[1] + 1
-    pad = np.zeros((n_rays, 1))
-    per_node = np.hstack([pad, dtau] if lower else [dtau, pad])
-    return _kernels.band(per_node.ravel(), np.arange(n_rays + 1) * n_space, lower)
-
-
 def build_transfer(grid: Grid, i_in_deep=0.0, i_in_surf=0.0) -> TransferOperator:
-    """Precompute per-ray increments, the marching bands, and inflow values.
+    """Precompute the entry-first increments, the marching band and the boundary term.
 
     mu > 0 rays carry the boundary value from t_deep upward, mu < 0 rays
     carry the value from t_surf downward. The grid lists the mu < 0 rays
     first, so each direction is one contiguous half of the rays.
     """
-    dtau = grid.delta_tau_table()
-    if not np.all(np.isfinite(dtau)):
+    table = grid.delta_tau_table()
+    if not np.all(np.isfinite(table)):
         raise ValueError("optical-depth increments must be finite")
     n_down = int(np.count_nonzero(grid.ray_mu < 0))
-    deep = _per_frequency_values(grid, i_in_deep)
-    surf = _per_frequency_values(grid, i_in_surf)
-    inflow = np.concatenate([surf[:n_down], deep[n_down:]])
-    return TransferOperator(
-        grid=grid, dtau=dtau, n_down=n_down, inflow=inflow,
-        band_down=_ray_band(dtau[:n_down], lower=True),
-        band_up=_ray_band(dtau[n_down:], lower=False),
-    )
+    dtau = np.zeros((grid.n_rays, grid.n_space))
+    dtau[:n_down, 1:] = table[:n_down]
+    dtau[n_down:, 1:] = table[n_down:, ::-1]
+    band = _kernels.band(dtau.ravel(), np.arange(grid.n_rays + 1) * grid.n_space)
+    boundary = np.zeros_like(dtau)
+    boundary[:n_down, 0] = _per_frequency_values(grid, i_in_surf)[:n_down]
+    boundary[n_down:, 0] = _per_frequency_values(grid, i_in_deep)[n_down:]
+    _kernels.sweep(band, boundary.reshape(-1))
+    return TransferOperator(grid=grid, dtau=dtau, n_down=n_down, band=band,
+                            boundary=boundary)
 
 
 def materialize_transfer(op: TransferOperator, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
-    """Assemble the dense space-major matrix from the coefficient tables."""
+    """Assemble the dense space-major matrix from the coefficient tables.
+
+    Up rays are stored reversed in space, so their block goes in at reversed
+    indices.
+    """
     n = op.n_total
     if n > dense_cap:
         raise ResourceLimitError(f"dense transfer of size {n} exceeds cap {dense_cap}")
@@ -147,6 +129,6 @@ def materialize_transfer(op: TransferOperator, dense_cap: int = DENSE_CAP_DEFAUL
     out = np.zeros((n, n))
     view = out.reshape(g.n_space, g.n_rays, g.n_space, g.n_rays)
     for k in range(g.n_rays):
-        block = lower_block(op.dtau[k]) if k < op.n_down else upper_block(op.dtau[k])
-        view[:, k, :, k] = block
+        block = lower_block(op.dtau[k, 1:])
+        view[:, k, :, k] = block if k < op.n_down else block[::-1, ::-1]
     return out

@@ -1,9 +1,9 @@
 """End-to-end acceptance suite.
 
 Each criterion runs at its stated tolerance and emits one visible
-[ACCEPT] pass/fail line (bypassing output capture). The spectrum-heavy
-criteria (Table reproductions) dominate the runtime; expect roughly half an
-hour on one core.
+[ACCEPT] pass/fail line (bypassing output capture). The spectra come from
+the scattering-rank core (see rtkrylov.spectrum), so the whole suite takes
+seconds on one core.
 """
 
 import os

@@ -141,6 +141,26 @@ class TestSolve:
         _, rows = read_csv(tmp_path / "solution.csv")
         assert len(rows) == 6 * 5 * 4
 
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1])
+    def test_rhs_one_config_needs_boolean(self, tmp_path, capsys, value):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"rhs_one": value}))
+        code = main(["solve", "--config", str(cfg_path), "--ns", "5", "--nomega", "4",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value, surface_intensity", [(False, 0.0), (None, 0.0), (True, 1.0)])
+    def test_rhs_one_config_boolean(self, tmp_path, value, surface_intensity):
+        # the first row is a downward ray at the surface, where the solution equals b
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"rhs_one": value}))
+        assert main(["solve", "--config", str(cfg_path), "--ns", "5", "--nomega", "4",
+                     "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "solution.csv")
+        assert float(rows[0][3]) == pytest.approx(surface_intensity, abs=1e-10)
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"nsx": 3}))

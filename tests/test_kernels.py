@@ -5,7 +5,7 @@ from rtkrylov import _kernels
 from rtkrylov.errors import NumericalError
 from rtkrylov.grid import build_grid
 from rtkrylov.multidim import CartesianGrid2D, build_transfer_2d
-from rtkrylov.transfer import build_transfer, lower_block, upper_block
+from rtkrylov.transfer import build_transfer, lower_block
 
 
 # The implicit-Euler recursions as explicit loops: the reference the banded
@@ -49,14 +49,12 @@ def march_lines(dtau, src, node_off, dtau_off):
     return out
 
 
-def banded_rays(dtau, src, lower):
-    # equal-length rows of src, each a ray entering at its first (lower) or
-    # last (upper) node
+def banded_rays(dtau, src):
+    # equal-length rows of src, each a ray entering at its first node
     m, n = src.shape
-    pad = np.zeros((m, 1))
-    node_dtau = np.hstack([pad, dtau] if lower else [dtau, pad])
-    ab = _kernels.band(node_dtau.ravel(), np.arange(m + 1) * n, lower)
-    return _kernels.sweep(ab, (node_dtau * src).ravel(), lower).reshape(m, n)
+    node_dtau = np.hstack([np.zeros((m, 1)), dtau])
+    ab = _kernels.band(node_dtau.ravel(), np.arange(m + 1) * n)
+    return _kernels.sweep(ab, (node_dtau * src).ravel()).reshape(m, n)
 
 
 def banded_lines(dtau, src, node_off):
@@ -88,8 +86,10 @@ def ragged():
 
 def test_rays_match_recursion_exactly(batch):
     dtau, src = batch
-    assert np.array_equal(banded_rays(dtau, src, lower=True), march_down(dtau, src))
-    assert np.array_equal(banded_rays(dtau, src, lower=False), march_up(dtau, src))
+    assert np.array_equal(banded_rays(dtau, src), march_down(dtau, src))
+    # an up ray is the same march on the space-reversed ray
+    up = banded_rays(dtau[:, ::-1], src[:, ::-1])[:, ::-1]
+    assert np.array_equal(up, march_up(dtau, src))
 
 
 def test_ragged_lines_match_recursion_exactly():
@@ -99,9 +99,7 @@ def test_ragged_lines_match_recursion_exactly():
 
 
 def test_empty_batch_handled():
-    for lower in (True, False):
-        out = banded_rays(np.zeros((0, 4)), np.zeros((0, 5)), lower)
-        assert out.shape == (0, 5)
+    assert banded_rays(np.zeros((0, 4)), np.zeros((0, 5))).shape == (0, 5)
     empty = np.zeros(0)
     offsets = np.zeros(1, dtype=np.int64)
     assert np.array_equal(banded_lines(empty, empty, offsets),
@@ -113,16 +111,14 @@ def test_line_sweep_matches_batched_sweep_on_equal_lines():
     dtau = rng.uniform(0.1, 1.5, size=(3, 9))
     src = rng.standard_normal((3, 10))
     flat = banded_lines(dtau.ravel(), src.ravel(), np.arange(4, dtype=np.int64) * 10)
-    assert np.array_equal(flat.reshape(3, 10), banded_rays(dtau, src, lower=True))
+    assert np.array_equal(flat.reshape(3, 10), banded_rays(dtau, src))
 
 
 def test_sweep_matches_closed_form_blocks(batch):
     dtau, src = batch
-    down = banded_rays(dtau, src, lower=True)
-    up = banded_rays(dtau, src, lower=False)
+    swept = banded_rays(dtau, src)
     for k in range(src.shape[0]):
-        np.testing.assert_allclose(down[k], lower_block(dtau[k]) @ src[k], rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(up[k], upper_block(dtau[k]) @ src[k], rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(swept[k], lower_block(dtau[k]) @ src[k], rtol=1e-13, atol=1e-15)
 
 
 def test_apply_transfer_matches_recursion_exactly():
@@ -130,9 +126,8 @@ def test_apply_transfer_matches_recursion_exactly():
     op = build_transfer(g, i_in_deep=1.0)
     s = np.random.default_rng(3).standard_normal(g.n_total)
     mat = s.reshape(g.n_space, g.n_rays).T
-    d = op.n_down
-    expected = np.concatenate([march_down(op.dtau[:d], mat[:d]),
-                               march_up(op.dtau[d:], mat[d:])])
+    dtau, d = g.delta_tau_table(), op.n_down
+    expected = np.concatenate([march_down(dtau[:d], mat[:d]), march_up(dtau[d:], mat[d:])])
     assert np.array_equal(op.apply_space_major(s), expected.T.ravel())
 
 

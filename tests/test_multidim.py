@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.spatial import cKDTree
 
 from rtkrylov.errors import CoverageError
 from rtkrylov.krylov import SolveConfig, gmres
@@ -14,6 +16,45 @@ from rtkrylov.multidim import (
 )
 from rtkrylov.operator import apply_A, build_rhs, materialize_A
 from rtkrylov.transfer import lower_block
+
+SNAP = 1e-12
+
+
+def loop_interpolators(family, grid):
+    # per-point loops: the reference the vectorized build must reproduce exactly
+    rows, cols, vals = [], [], []
+    for r, (x, y) in enumerate(family.all_nodes()):
+        ix = min(max(int((x - grid.x0) / grid.hx), 0), grid.n_x - 2)
+        iy = min(max(int((y - grid.y0) / grid.hy), 0), grid.n_y - 2)
+        fx = (x - grid.x_nodes[ix]) / grid.hx
+        fy = (y - grid.y_nodes[iy]) / grid.hy
+        fx = 0.0 if fx < SNAP else (1.0 if fx > 1.0 - SNAP else fx)
+        fy = 0.0 if fy < SNAP else (1.0 if fy > 1.0 - SNAP else fy)
+        for jx, jy, w in ((ix, iy, (1.0 - fx) * (1.0 - fy)), (ix + 1, iy, fx * (1.0 - fy)),
+                          (ix, iy + 1, (1.0 - fx) * fy), (ix + 1, iy + 1, fx * fy)):
+            if w != 0.0:
+                rows.append(r)
+                cols.append(jx * grid.n_y + jy)
+                vals.append(w)
+    cart_to_ray = csr_matrix((vals, (rows, cols)), shape=(family.n_nodes, grid.n_space))
+
+    k = min(4, family.n_nodes)
+    dist, idx = cKDTree(family.all_nodes()).query(grid.node_xy, k=k)
+    dist, idx = dist.reshape(grid.n_space, k), idx.reshape(grid.n_space, k)
+    rows, cols, vals = [], [], []
+    for r in range(grid.n_space):
+        if dist[r, 0] <= SNAP * max(grid.hx, grid.hy):
+            rows.append(r)
+            cols.append(int(idx[r, 0]))
+            vals.append(1.0)
+            continue
+        inv = 1.0 / dist[r]
+        w = inv / inv.sum()
+        for j in range(k):
+            rows.append(r)
+            cols.append(int(idx[r, j]))
+            vals.append(float(w[j]))
+    return cart_to_ray, csr_matrix((vals, (rows, cols)), shape=(grid.n_space, family.n_nodes))
 
 
 @pytest.fixture
@@ -90,6 +131,16 @@ class TestInterpolators:
         dense = c2r.matrix.toarray()
         assert np.all((dense == 0.0) | (dense == 1.0))
         assert np.all(dense.sum(axis=1) == 1.0)
+
+    @pytest.mark.parametrize("shape", [(5, 9, 3), (8, 8, 8), (12, 10, 8)])
+    def test_matches_per_point_loops(self, shape):
+        grid = CartesianGrid2D(*shape)
+        for direction in grid.directions:
+            family = trace_rays(grid, direction)
+            pair = build_interpolators(family, grid)
+            for got, ref in zip(pair, loop_interpolators(family, grid)):
+                for attr in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(got.matrix, attr), getattr(ref, attr))
 
     def test_coverage_error_for_sparse_family(self, unit_grid_8):
         family = trace_rays(unit_grid_8, (1.0, 0.0), spacing=10.0)

@@ -6,6 +6,7 @@ import pytest
 from rtkrylov import presets
 from rtkrylov.errors import ResourceLimitError
 from rtkrylov.operator import apply_A, build_rhs, materialize_A
+from rtkrylov.transfer import build_transfer
 
 
 class TestApplyA:
@@ -86,7 +87,7 @@ class TestApplyA:
 class TestBuildRhs:
     def test_zero_sources(self):
         p = presets.monochromatic(6, 4)
-        p.transfer.inflow[:] = 0.0
+        p.transfer.boundary[:] = 0.0
         assert np.all(build_rhs(p) == 0.0)
 
     def test_override_ones(self):
@@ -95,7 +96,7 @@ class TestBuildRhs:
 
     def test_constant_thermal_source_linearity(self):
         p = presets.monochromatic(6, 4)
-        p.transfer.inflow[:] = 0.0
+        p.transfer.boundary[:] = 0.0
         p.thermal = np.full(p.n_total, 3.0)
         expected = 3.0 * p.transfer.apply_space_major(np.ones(p.n_total))
         np.testing.assert_allclose(build_rhs(p), expected, rtol=1e-14)
@@ -119,6 +120,26 @@ class TestBuildRhs:
         mat = b.reshape(g.n_space, g.n_rays)
         up = np.array([r.mu > 0 for r in g.rays])
         assert np.all(mat[-1, up] == 1.0)  # deep inflow reaches the deep node intact
+
+    @pytest.mark.parametrize("preset,params", [
+        ("mono", dict(n_space=9, n_angles=6)),
+        ("crd", dict(n_space=7, n_angles=4, n_freq=5)),
+    ])
+    def test_boundary_matches_closed_form(self, preset, params):
+        # inflow / prod(1 + dtau) over the intervals between the entry and each node
+        p = presets.build(preset, **params)
+        g = p.grid
+        surf, deep = 0.5, np.linspace(1.0, 2.0, g.n_freq)
+        p.transfer = build_transfer(g, i_in_deep=deep, i_in_surf=surf)
+        dtau = g.delta_tau_table()
+        got = build_rhs(p).reshape(g.n_space, g.n_rays)
+        for k in range(g.n_rays):
+            if g.ray_mu[k] < 0:
+                expected = [surf / np.prod(1.0 + dtau[k, :i]) for i in range(g.n_space)]
+            else:
+                inflow = deep[k % g.n_freq]
+                expected = [inflow / np.prod(1.0 + dtau[k, i:]) for i in range(g.n_space)]
+            np.testing.assert_allclose(got[:, k], expected, rtol=1e-13)
 
 
 class TestMaterializeA:

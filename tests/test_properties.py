@@ -1,8 +1,9 @@
 """Property tests on random small configurations of every preset.
 
-The matrix-free applies are checked against their dense materializations
-and the Krylov solvers against the true residual. Examples are drawn
-deterministically (derandomize=True), so every run checks the same cases.
+The matrix-free applies are checked against their dense materializations,
+the Krylov solvers against the true residual, and the 1D spectra against
+the dense eigensolve. Examples are drawn deterministically
+(derandomize=True), so every run checks the same cases.
 """
 
 import warnings
@@ -15,9 +16,19 @@ from rtkrylov import presets
 from rtkrylov.krylov import SolveConfig, solve_system
 from rtkrylov.operator import apply_A, materialize_A
 from rtkrylov.scattering import ScatteringStrengthWarning
+from rtkrylov.spectrum import compute_spectrum
+
+from conftest import assert_matches_dense_spectrum
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 TOL = 1e-10
+
+
+def quiet_build(preset, params):
+    with warnings.catch_warnings():
+        # the line presets' strength bound is loose (a known false alarm)
+        warnings.simplefilter("ignore", ScatteringStrengthWarning)
+        return presets.build(preset, **params)
 
 
 @st.composite
@@ -31,10 +42,7 @@ def problems(draw):
         params.update(n_space=draw(st.integers(2, 12)),
                       n_angles=2 * draw(st.integers(1, 4)),
                       n_freq=draw(st.integers(2, 6)) if preset != "mono" else 1)
-    with warnings.catch_warnings():
-        # the line presets' strength bound is loose (a known false alarm)
-        warnings.simplefilter("ignore", ScatteringStrengthWarning)
-        problem = presets.build(preset, **params)
+    problem = quiet_build(preset, params)
     seed = draw(st.integers(0, 2**32 - 1))
     return problem, np.random.default_rng(seed).standard_normal(problem.n_total)
 
@@ -65,3 +73,21 @@ def test_true_residual_within_tolerance(case, method):
     assert rep.converged
     residual = np.linalg.norm(b - apply_A(p, rep.solution)) / np.linalg.norm(b)
     assert residual <= 10 * TOL
+
+
+@st.composite
+def spectrum_cells(draw):
+    preset = draw(st.sampled_from(["mono", "coherent", "crd"]))
+    params = {"gamma_scale": draw(st.floats(0.0, 1.2)), "n_space": draw(st.integers(2, 10))}
+    if preset == "mono":
+        # the rank-8 kernel takes the reduced core only above 8 angles
+        params["n_angles"] = 2 * draw(st.integers(1, 10))
+    else:
+        params.update(n_angles=2 * draw(st.integers(1, 4)), n_freq=draw(st.integers(2, 6)))
+    return quiet_build(preset, params)
+
+
+@PROPERTY
+@given(spectrum_cells())
+def test_spectrum_matches_dense_eigensolve(p):
+    assert_matches_dense_spectrum(p, compute_spectrum(p))

@@ -7,6 +7,8 @@ from rtkrylov.operator import materialize_A
 from rtkrylov.scattering import materialize_scattering
 from rtkrylov.spectrum import clustering_trend, compute_spectrum
 
+from conftest import assert_matches_dense_spectrum
+
 
 class TestComputeSpectrum:
     def test_identity_limit(self):
@@ -55,17 +57,7 @@ class TestComputeSpectrum:
     ])
     def test_reduced_core_matches_dense_eigensolve(self, preset, params):
         p = presets.build(preset, **params)
-        rep = compute_spectrum(p)
-        lam = np.linalg.eigvals(materialize_A(p))
-        assert rep.n == lam.size
-        modulus = np.abs(lam)
-        assert rep.cluster_fraction == np.mean((modulus >= 0.999) & (modulus <= 1.001))
-        assert rep.min_modulus == pytest.approx(modulus.min(), abs=1e-12)
-        assert rep.outlier_counts == {e: int(np.sum(np.abs(lam - 1.0) > e))
-                                      for e in rep.outlier_counts}
-        np.testing.assert_allclose(np.sum(rep.eigenvalues), np.trace(materialize_A(p)), atol=1e-10)
-        far = lambda v: np.sort_complex(v[np.abs(v - 1.0) > 1e-3])
-        np.testing.assert_allclose(far(rep.eigenvalues), far(lam), atol=1e-10)
+        assert_matches_dense_spectrum(p, compute_spectrum(p))
 
     def test_eigensolver_failure_raises_numerical_error(self, monkeypatch):
         def fail(a):

@@ -3,14 +3,7 @@ import pytest
 
 from rtkrylov.errors import ResourceLimitError
 from rtkrylov.grid import Grid, build_grid
-from rtkrylov.transfer import (
-    build_transfer,
-    lower_block,
-    lower_decay,
-    materialize_transfer,
-    upper_block,
-    upper_decay,
-)
+from rtkrylov.transfer import build_transfer, lower_block, materialize_transfer
 
 
 def single_ray_grid(mu, n_space, dtau_value=1.0):
@@ -18,6 +11,20 @@ def single_ray_grid(mu, n_space, dtau_value=1.0):
     dt = dtau_value * abs(mu)
     t = np.arange(n_space) * dt
     return Grid(t, np.array([mu]), np.array([1.0]), np.array([0.0]), np.array([1.0]))
+
+
+def varied_ray_grid(mu, dtau):
+    # one ray whose optical-depth increments are close to dtau; the test
+    # reads the exact ones back with delta_tau_table
+    t = np.concatenate([[0.0], np.cumsum(dtau * abs(mu))])
+    g = Grid(t, np.array([mu]), np.array([1.0]), np.array([0.0]), np.array([1.0]))
+    return g, g.delta_tau_table()[0]
+
+
+def attenuation(dtau):
+    # share of the inflow reaching each node of a ray in marching order:
+    # f_1 = 1, f_i = 1 / prod_{l<i} (1 + dtau_l)
+    return np.array([1.0 / np.prod(1.0 + dtau[:i]) for i in range(dtau.size + 1)])
 
 
 def oracle_lower_block(dtau):
@@ -52,21 +59,18 @@ class TestCoefficients:
         blk = lower_block(np.array([1.0]))
         assert blk[1, 1] == pytest.approx(0.5)
         assert blk[0, 0] == 0.0 and blk[0, 1] == 0.0
-        assert lower_decay(np.array([1.0]))[1] == pytest.approx(0.5)
+        op = build_transfer(single_ray_grid(mu=-0.5, n_space=2), i_in_surf=1.0)
+        np.testing.assert_allclose(op.boundary_space_major(), [1.0, 0.5])
 
     def test_hand_unrolled_three_nodes_down(self):
-        dtau = np.ones(2)
-        blk = lower_block(dtau)
-        dec = lower_decay(dtau)
-        assert dec[2] == pytest.approx(0.25)
+        blk = lower_block(np.ones(2))
+        op = build_transfer(single_ray_grid(mu=-0.5, n_space=3), i_in_surf=1.0)
+        np.testing.assert_allclose(op.boundary_space_major(), [1.0, 0.5, 0.25])
         assert blk[2, 1] == pytest.approx(0.25)
         assert blk[2, 2] == pytest.approx(0.5)
 
     def test_hand_unrolled_three_nodes_up(self):
-        dtau = np.ones(2)
-        dec = upper_decay(dtau)
-        np.testing.assert_allclose(dec, [0.25, 0.5, 1.0])
-        blk = upper_block(dtau)
+        blk = materialize_transfer(build_transfer(single_ray_grid(mu=0.5, n_space=3)))
         assert blk[0, 0] == pytest.approx(0.5)
         assert blk[0, 1] == pytest.approx(0.25)
         assert blk[1, 1] == pytest.approx(0.5)
@@ -77,21 +81,26 @@ class TestCoefficients:
         rng = np.random.default_rng(seed)
         dtau = rng.uniform(0.05, 3.0, size=9)
         np.testing.assert_allclose(lower_block(dtau), oracle_lower_block(dtau), rtol=1e-14)
-        np.testing.assert_allclose(upper_block(dtau), oracle_upper_block(dtau), rtol=1e-14)
+        for mu, oracle in ((-0.3, oracle_lower_block), (0.3, oracle_upper_block)):
+            g, exact = varied_ray_grid(mu, dtau)
+            np.testing.assert_allclose(materialize_transfer(build_transfer(g)), oracle(exact),
+                                       rtol=1e-14)
 
     def test_coefficient_ranges_and_row_sums(self):
         rng = np.random.default_rng(5)
         dtau = rng.uniform(0.01, 10.0, size=19)
-        low, up = lower_block(dtau), upper_block(dtau)
-        for blk, dec in ((low, lower_decay(dtau)), (up, upper_decay(dtau))):
+        g, up_dtau = varied_ray_grid(0.4, dtau)
+        low, up = lower_block(dtau), materialize_transfer(build_transfer(g))
+        low_dec, up_dec = attenuation(dtau), attenuation(up_dtau[::-1])[::-1]
+        for blk, dec in ((low, low_dec), (up, up_dec)):
             nonzero = blk[blk != 0.0]
             assert np.all((nonzero > 0.0) & (nonzero < 1.0))
             assert np.all((dec > 0.0) & (dec <= 1.0))
             # telescoping: sum of row coefficients plus decay equals 1
             assert np.all(blk.sum(axis=1) <= 1.0 + 1e-12)
-        np.testing.assert_allclose(low.sum(axis=1) + lower_decay(dtau), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(low.sum(axis=1) + low_dec, 1.0, rtol=1e-12)
         rows = np.arange(dtau.size)  # all but the outflow boundary row
-        np.testing.assert_allclose(up.sum(axis=1)[rows] + upper_decay(dtau)[rows], 1.0, rtol=1e-12)
+        np.testing.assert_allclose(up.sum(axis=1)[rows] + up_dec[rows], 1.0, rtol=1e-12)
 
 
 class TestApply:

@@ -179,19 +179,26 @@ def _echo_config(cfg: dict) -> dict:
 
 
 def _write_solution(path: Path, problem, solution) -> None:
-    """One row per unknown: node coordinates, ray (mu, nu), intensity."""
+    """One row per unknown: node coordinates, ray (mu, nu), intensity.
+
+    Each node's coordinates and each ray's (mu, nu) are formatted once; a
+    node's block of rows is then one % over a format string of all rays.
+    """
     grid = problem.grid
     if hasattr(grid, "node_xy"):  # 2D
         header, nodes = "x,y,mu,nu,I", grid.node_xy
     else:
         header, nodes = "t,mu,nu,I", grid.t_nodes[:, None]
-    table = np.column_stack([
-        np.repeat(nodes, grid.n_rays, axis=0),
-        np.tile(grid.ray_mu, grid.n_space),
-        np.tile(grid.ray_nu, grid.n_space),
-        solution,
-    ])
-    np.savetxt(path, table, fmt=_G, delimiter=",", header=header, comments="")
+    rays = "".join(f"%s,{_fmt(mu)},{_fmt(nu)},{_G}\n"
+                   for mu, nu in zip(grid.ray_mu, grid.ray_nu))
+    values = np.asarray(solution, dtype=float).reshape(grid.n_space, grid.n_rays)
+    args = [None] * (2 * grid.n_rays)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for node, row in zip(nodes, values):
+            args[0::2] = [",".join(map(_fmt, node))] * grid.n_rays
+            args[1::2] = row.tolist()  # one node at a time: no N Python floats at once
+            fh.write(rays % tuple(args))
 
 
 def _run_solve(cfg: dict, out_dir: Path) -> int:

@@ -6,6 +6,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from rtkrylov import cli, presets
 from rtkrylov.cli import main
 
 
@@ -165,6 +166,53 @@ class TestSolve:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"nsx": 3}))
         assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+
+
+def savetxt_solution(path, problem, solution):
+    """The np.savetxt writer that _write_solution replaced, kept as its reference."""
+    grid = problem.grid
+    if hasattr(grid, "node_xy"):  # 2D
+        header, nodes = "x,y,mu,nu,I", grid.node_xy
+    else:
+        header, nodes = "t,mu,nu,I", grid.t_nodes[:, None]
+    table = np.column_stack([
+        np.repeat(nodes, grid.n_rays, axis=0),
+        np.tile(grid.ray_mu, grid.n_space),
+        np.tile(grid.ray_nu, grid.n_space),
+        solution,
+    ])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
+class TestSolutionWriter:
+    @pytest.mark.parametrize("preset, params", [
+        ("mono", {"n_space": 7, "n_angles": 6}),
+        ("coherent", {"n_space": 5, "n_angles": 4, "n_freq": 5}),
+        ("crd", {"n_space": 5, "n_angles": 4, "n_freq": 5}),
+        ("aniso2d", {"n_x": 3, "n_y": 4, "n_angles": 6}),
+    ])
+    def test_bytes_match_savetxt(self, tmp_path, preset, params):
+        problem = presets.build(preset, **params)
+        rng = np.random.default_rng(3)
+        solution = rng.standard_normal(problem.n_total) * 10.0 ** rng.integers(-300, 300, problem.n_total)
+        solution[:6] = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.0 / 3.0]
+        cli._write_solution(tmp_path / "new.csv", problem, solution)
+        savetxt_solution(tmp_path / "ref.csv", problem, solution)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_intensities_round_trip_bit_for_bit(self, tmp_path, monkeypatch):
+        reports, cli_solve = [], cli.solve_system
+
+        def recording_solve(*args, **kwargs):
+            reports.append(cli_solve(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "solve_system", recording_solve)
+        assert main(["solve", "--preset", "crd", "--ns", "6", "--nomega", "4", "--nnu", "5",
+                     "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "solution.csv")
+        written = np.array([float(r[3]) for r in rows])
+        assert written.tobytes() == reports[0].solution.tobytes()
 
 
 class TestSpectrum:

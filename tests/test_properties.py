@@ -1,9 +1,10 @@
 """Property tests on random small configurations of every preset.
 
-The matrix-free applies are checked against their dense materializations,
-the Krylov solvers against the true residual, and the 1D spectra against
-the dense eigensolve. Examples are drawn deterministically
-(derandomize=True), so every run checks the same cases.
+The matrix-free applies and the scattering strength bound are checked
+against their dense materializations, the Krylov solvers against the true
+residual, and the 1D spectra against the dense eigensolve. Examples are
+drawn deterministically (derandomize=True), so every run checks the same
+cases.
 """
 
 import warnings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from rtkrylov import presets
 from rtkrylov.krylov import SolveConfig, solve_system
 from rtkrylov.operator import apply_A, materialize_A
-from rtkrylov.scattering import ScatteringStrengthWarning
+from rtkrylov.scattering import ScatteringStrengthWarning, _strength_bound, materialize_scattering
 from rtkrylov.spectrum import compute_spectrum
 
 from conftest import assert_matches_dense_spectrum
@@ -26,7 +27,7 @@ TOL = 1e-10
 
 def quiet_build(preset, params):
     with warnings.catch_warnings():
-        # the line presets' strength bound is loose (a known false alarm)
+        # a gamma_scale up to 1.2 can take ||Gamma Psi W||_inf past one
         warnings.simplefilter("ignore", ScatteringStrengthWarning)
         return presets.build(preset, **params)
 
@@ -73,6 +74,14 @@ def test_true_residual_within_tolerance(case, method):
     assert rep.converged
     residual = np.linalg.norm(b - apply_A(p, rep.solution)) / np.linalg.norm(b)
     assert residual <= 10 * TOL
+
+
+@PROPERTY
+@given(problems())
+def test_strength_bound_is_scattering_infinity_norm(case):
+    p, _ = case
+    dense = np.abs(materialize_scattering(p.scattering)).sum(axis=1).max()
+    np.testing.assert_allclose(_strength_bound(p.scattering), dense, rtol=1e-12, atol=0)
 
 
 @st.composite

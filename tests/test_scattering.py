@@ -13,6 +13,7 @@ from rtkrylov.scattering import (
     CRDKernel,
     LegendreKernel,
     ScatteringStrengthWarning,
+    _strength_bound,
     apply_scattering,
     build_scattering,
     kernel_normalization,
@@ -153,16 +154,38 @@ class TestBuild:
         np.testing.assert_allclose(out, 1.0, rtol=1e-13)
 
     def test_strength_warning_for_large_gamma(self, poly_grid):
+        # ||Gamma Psi W||_inf = 1.2
         with pytest.warns(ScatteringStrengthWarning):
             build_scattering(
                 poly_grid, CoherentKernel(lorentzian),
-                lambda t, mu, nu: 0.5 * (1.0 - t) / lorentzian(nu),
+                lambda t, mu, nu: 0.6 * (1.0 - t) / lorentzian(nu),
             )
 
     def test_no_warning_in_contractive_regime(self, mono_grid):
+        # ||Gamma Psi W||_inf = 0.8
         with warnings.catch_warnings():
             warnings.simplefilter("error", ScatteringStrengthWarning)
-            build_scattering(mono_grid, LegendreKernel(L7_COEFFS), gamma_depth)
+            build_scattering(mono_grid, LegendreKernel(L7_COEFFS),
+                             lambda t, mu, nu: 0.4 * (1.0 - t) * np.ones_like(mu + nu))
+
+    def test_strength_bound_sums_absolute_kernel_entries(self, mono_grid):
+        # the kernel 0.2 + mu mu' is negative where mu mu' < -0.2: the bound sums |Gamma Psi W|
+        op = build_scattering(mono_grid, LegendreKernel((0.2, 1.0)), gamma_depth)
+        dense = materialize_scattering(op)
+        assert np.any(dense < 0.0)
+        assert _strength_bound(op) == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-12)
+        assert _strength_bound(op) > np.abs(dense.sum(axis=1)).max()
+
+    @pytest.mark.parametrize("preset", ["crd", "coherent"])
+    @pytest.mark.parametrize("size", [(10, 8, 5), (200, 24, 50)])
+    def test_line_presets_build_without_warning(self, preset, size):
+        # their ||Gamma Psi W||_inf is below one (0.86 and 0.497 at (10,8,5))
+        from rtkrylov import presets
+
+        n_space, n_angles, n_freq = size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ScatteringStrengthWarning)
+            presets.build(preset, n_space=n_space, n_angles=n_angles, n_freq=n_freq)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_coefficient_rejected(self, mono_grid, bad):

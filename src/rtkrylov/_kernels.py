@@ -44,13 +44,15 @@ def sweep(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     rhs holds the weighted sources dtau * src for the homogeneous transfer,
     or the inflow at each entry node (zero elsewhere) for the boundary term;
-    it is overwritten with the intensities. It must be contiguous, since
-    LAPACK would otherwise solve in a copy.
+    it is overwritten with the intensities. It is one contiguous vector or an
+    (n, m) Fortran-ordered block of m right-hand sides, swept column by
+    column; LAPACK would otherwise solve in a copy.
     """
-    if rhs.dtype != np.float64 or not rhs.flags.c_contiguous:
-        raise ValueError("sweep needs a C-contiguous float64 right-hand side")
+    if rhs.dtype != np.float64 or rhs.ndim > 2 or not rhs.flags.f_contiguous:
+        raise ValueError("sweep needs a contiguous float64 vector or Fortran-ordered block")
     if rhs.size:
-        _, info = dtbtrs(ab, rhs.reshape(rhs.size, 1), uplo="L", overwrite_b=1)
+        _, info = dtbtrs(ab, rhs.reshape(rhs.shape[0], -1, order="F"), uplo="L",
+                         overwrite_b=1)
         if info != 0:
             raise NumericalError(f"singular transfer sweep (LAPACK dtbtrs info={info})")
     return rhs

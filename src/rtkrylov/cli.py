@@ -52,7 +52,7 @@ _TYPED_FLAGS = {
     "restart": (int, "GMRES restart length (default: no restart)"),
     "max_iter": (int, "iteration limit"),
     "gamma_scale": (float, "factor on the scattering coefficient"),
-    "dense_cap": (int, "largest N that is materialized densely"),
+    "dense_cap": (int, "largest N whose spectrum is computed"),
     "out": (str, "output directory"),
 }
 
@@ -236,6 +236,7 @@ def _run_spectrum(cfg: dict, out_dir: Path) -> int:
         "kind": "spectrum",
         "config": _echo_config(cfg),
         "n_total": rep.n,
+        "reduced_dim": rep.reduced_dim,
         "cluster_fraction_symmetric": rep.cluster_fraction,
         "cluster_fraction_paper_interval": rep.cluster_fraction_one_sided,
         "min_modulus": rep.min_modulus,

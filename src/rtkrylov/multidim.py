@@ -289,6 +289,19 @@ class TransferOperator2D:
             out[:, k] = pair.ray_to_cart.matrix @ self.boundary[a:b]
         return out.ravel()
 
+    def ray_blocks(self) -> np.ndarray:
+        """(n_rays, n_space, n_space) diagonal blocks of the transfer, one per direction.
+
+        Each direction sweeps dtau times the dense Cartesian-to-line matrix,
+        one right-hand side per Cartesian node, and maps the result back.
+        """
+        out = np.empty((self.grid.n_rays, self.grid.n_space, self.grid.n_space))
+        for k, (pair, a, b) in self._slices():
+            cols = pair.cart_to_ray.matrix.toarray(order="F")
+            cols *= self.dtau[a:b, None]
+            out[k] = pair.ray_to_cart.matrix @ _kernels.sweep(self.band[:, a:b], cols)
+        return out
+
     def materialize(self, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
         n = self.n_total
         if n > dense_cap:

@@ -5,13 +5,15 @@ reduction, shifted QR). The scattering factors as Gamma Psi W = U V^T with
 k = n_space * r columns (r the kernel rank), so A = Id - Lambda U V^T has the
 eigenvalue one n - k times and 1 - eig(V^T Lambda U) for the rest: XY and YX
 share their nonzero eigenvalues. When k < n the solver runs on that k x k
-core, otherwise on the materialized operator. Two cluster counts are
-reported: the symmetric modulus interval [0.999, 1.001], and the literal
-one-sided [0.999, 1] interval guarded by a few ulps so that eigenvalues that
-are exactly one in exact arithmetic are not lost to rounding. Complex pairs
-with tiny imaginary parts have modulus marginally above one, so the
-one-sided count systematically undercounts; the symmetric count is the one
-comparable with the reference tables.
+core, otherwise on the materialized operator. The core is formed in closed
+form from the transfer's per-ray diagonal blocks (one multi-column sweep,
+see ray_blocks) in O(n * n_space) memory, so the n x n transfer is never
+formed. Two cluster counts are reported: the symmetric modulus interval
+[0.999, 1.001], and the literal one-sided [0.999, 1] interval guarded by a
+few ulps so that eigenvalues that are exactly one in exact arithmetic are
+not lost to rounding. Complex pairs with tiny imaginary parts have modulus
+marginally above one, so the one-sided count systematically undercounts;
+the symmetric count is the one comparable with the reference tables.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from rtkrylov.errors import DENSE_CAP_DEFAULT, NumericalError
+from rtkrylov.errors import DENSE_CAP_DEFAULT, NumericalError, ResourceLimitError
 from rtkrylov.operator import RTProblem, materialize_A
 
 DEFAULT_EPS_VALUES = (0.01, 0.05, 0.1, 0.15)
@@ -35,6 +37,7 @@ class SpectrumReport:
     cluster_fraction_one_sided: float  # one-sided: |lambda| in [0.999, 1] (+ ulp guard)
     min_modulus: float
     outlier_counts: dict           # eps -> #{|lambda - 1| > eps}
+    reduced_dim: int               # size of the matrix handed to the eigensolver
     descriptor: dict = field(default_factory=dict)
 
     @property
@@ -46,9 +49,12 @@ def compute_spectrum(problem: RTProblem, dense_cap: int = DENSE_CAP_DEFAULT,
                      eps_values: Sequence[float] = DEFAULT_EPS_VALUES) -> SpectrumReport:
     """Full spectrum of the global operator plus diagnostics.
 
-    Raises NumericalError when the eigensolver does not converge.
+    Raises ResourceLimitError when n exceeds dense_cap and NumericalError
+    when the eigensolver does not converge.
     """
-    core = _scattering_core(problem, dense_cap)
+    if problem.n_total > dense_cap:
+        raise ResourceLimitError(f"spectrum of size {problem.n_total} exceeds cap {dense_cap}")
+    core = _scattering_core(problem)
     try:
         if core is None:
             eigenvalues = np.linalg.eigvals(materialize_A(problem, dense_cap=dense_cap))
@@ -71,27 +77,28 @@ def compute_spectrum(problem: RTProblem, dense_cap: int = DENSE_CAP_DEFAULT,
         ),
         min_modulus=float(modulus.min()),
         outlier_counts={float(e): int(np.sum(distance > e)) for e in eps_values},
+        reduced_dim=n if core is None else core.shape[0],
         descriptor=descriptor,
     )
 
 
-def _scattering_core(problem: RTProblem, dense_cap: int) -> Optional[np.ndarray]:
+def _scattering_core(problem: RTProblem) -> Optional[np.ndarray]:
     """The k x k core V^T Lambda U, or None when k = n_space * r is not below n.
 
-    At space node i, U holds diag(gamma_i) P diag(d) and V^T holds (W P)^T.
+    With B[q] the transfer block of ray q, C[q, i, j] = B[q, i, j] gamma[j, q]
+    and E[q, m, m'] = (W P)[q, m] P[q, m'] d[m'], the core entry of rows
+    (i, m) and columns (j, m') is sum_q C[q, i, j] E[q, m, m'].
     """
     g, s = problem.grid, problem.scattering
     r = s.d.size
     k = g.n_space * r
     if k >= problem.n_total:
         return None
-    lam = problem.transfer.materialize(dense_cap)
-    n_r = g.n_rays
-    lam_u = np.empty((problem.n_total, g.n_space, r))
-    for i in range(g.n_space):
-        u_i = s.gamma_table[i][:, None] * s.pt.T * s.d  # (n_rays, r)
-        lam_u[:, i, :] = lam[:, i * n_r:(i + 1) * n_r] @ u_i
-    return (s.wpt @ lam_u.reshape(g.n_space, n_r, k)).reshape(k, k)
+    c = problem.transfer.ray_blocks()
+    c *= s.gamma_table.T[:, None, :]
+    e = s.wpt.T[:, :, None] * (s.pt.T * s.d)[:, None, :]
+    core = c.reshape(g.n_rays, g.n_space**2).T @ e.reshape(g.n_rays, r * r)
+    return core.reshape(g.n_space, g.n_space, r, r).transpose(0, 2, 1, 3).reshape(k, k)
 
 
 @dataclass

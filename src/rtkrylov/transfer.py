@@ -5,9 +5,10 @@ Every ray is stored entry-first: downward rays (mu < 0) enter at the surface
 and keep the space order, upward rays (mu > 0) enter at depth and are
 reversed in space. In its own order each ray's block is lower triangular
 with a zero first row, so one lower band marches every ray (see _kernels)
-and the boundary term is that same sweep of the inflow. Dense blocks are
-assembled from the closed-form coefficient products and serve as the
-independent testing path.
+and the boundary term is that same sweep of the inflow; the same sweep with
+one right-hand side per node also yields every ray's block (ray_blocks).
+Dense blocks are assembled from the closed-form coefficient products and
+serve as the independent testing path.
 """
 
 from __future__ import annotations
@@ -88,6 +89,25 @@ class TransferOperator:
     def boundary_space_major(self) -> np.ndarray:
         """Inflow contribution: attenuation times the boundary intensity, space-major."""
         return self._to_space_major(self.boundary)
+
+    def ray_blocks(self) -> np.ndarray:
+        """(n_rays, n_space, n_space) diagonal blocks of the transfer, space order.
+
+        One sweep with n_space right-hand sides: column c holds dtau at the
+        c-th entry-first node of every ray, so it marches out column c of
+        every ray's block at once. Up-ray blocks are then reversed in both
+        indices.
+        """
+        n_rays, n_space = self.dtau.shape
+        nodes = np.arange(n_space)
+        cols = np.zeros((n_space, n_rays, n_space), order="F")  # (node, ray, column)
+        cols[nodes, :, nodes] = self.dtau.T
+        _kernels.sweep(self.band, cols.reshape(n_rays * n_space, n_space, order="F"))
+        d = self.n_down
+        out = np.empty((n_rays, n_space, n_space))
+        out[:d] = cols[:, :d].transpose(1, 0, 2)
+        out[d:] = cols[::-1, d:, ::-1].transpose(1, 0, 2)
+        return out
 
     def materialize(self, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
         return materialize_transfer(self, dense_cap)

@@ -6,7 +6,6 @@ the scattering-rank core (see rtkrylov.spectrum), so the whole suite takes
 seconds on one core.
 """
 
-import os
 import sys
 import warnings
 
@@ -36,8 +35,7 @@ TABLE_1 = {
     (40, 12): 73.5, (40, 24): 87.8,
     (100, 12): 79.8, (100, 24): 90.1,
 }
-# optional extended cells (larger angular grids, deepest spatial grid);
-# enabled with RTKRYLOV_EXTENDED=1, cells capped at N <= 10000
+# extended cells (larger angular grids, deepest spatial grid), capped at N <= 10000
 TABLE_1_EXTENDED = {
     (10, 50): 91.8, (10, 100): 96.2,
     (20, 50): 92.3, (20, 100): 96.4,
@@ -93,8 +91,6 @@ class TestCriterion1TableOne:
         _announce("criterion 1 (Table 1 cluster fractions, +-3 pts)", not errors, detail)
         assert not errors, detail
 
-    @pytest.mark.skipif("RTKRYLOV_EXTENDED" not in os.environ,
-                        reason="extended Table-1 cells; set RTKRYLOV_EXTENDED=1")
     def test_extended_cells(self):
         errors = []
         for (ns, nom), expected in TABLE_1_EXTENDED.items():
@@ -106,7 +102,7 @@ class TestCriterion1TableOne:
                 errors.append(f"({ns},{nom}): {got:.2f} vs {expected}")
             if rep.min_modulus <= 0.82:
                 errors.append(f"({ns},{nom}): min modulus {rep.min_modulus:.4f}")
-        _announce("criterion 1 extended (optional Table 1 cells)", not errors,
+        _announce("criterion 1 extended (extended Table 1 cells)", not errors,
                   "; ".join(errors) if errors else "all extended cells within +-3 pts")
         assert not errors, errors
 
@@ -156,6 +152,29 @@ class TestCriterion4CRD:
                 errors.append(f"({ns},{nnu}): {got:.2f}")
         detail = "; ".join(errors) if errors else f"worst cell {worst:.2f}% > 99.2%"
         _announce("criterion 4 (CRD cluster fraction > 99.2%)", not errors, detail)
+        assert not errors, detail
+
+
+class TestTableTwoBeyondEnvelope:
+    def test_cell_50_20(self):
+        # N = 24000 is above the default dense cap; the core has n_space * r
+        # = 1000 unknowns (coherent) and 50 (CRD)
+        cell = (50, 20)
+        n = cell[0] * TABLE_2_ANGLES * cell[1]
+        errors = []
+        rep = compute_spectrum(presets.coherent(cell[0], TABLE_2_ANGLES, cell[1]), dense_cap=n)
+        coherent = rep.cluster_fraction * 100
+        if abs(coherent - TABLE_2[cell]) > 1.0:
+            errors.append(f"coherent {coherent:.2f} vs {TABLE_2[cell]}")
+        if rep.min_modulus <= 0.70:
+            errors.append(f"coherent min modulus {rep.min_modulus:.3f}")
+        rep = compute_spectrum(presets.crd(cell[0], TABLE_2_ANGLES, cell[1]), dense_cap=n)
+        crd = rep.cluster_fraction * 100
+        if not crd > 99.2:
+            errors.append(f"CRD {crd:.2f}")
+        detail = "; ".join(errors) if errors else \
+            f"coherent {coherent:.2f}% vs {TABLE_2[cell]} (+-1 pt), CRD {crd:.2f}% > 99.2%"
+        _announce("criteria 3 and 4 at Table 2 (50,20), N = 24000", not errors, detail)
         assert not errors, detail
 
 

@@ -225,6 +225,9 @@ class TestSpectrum:
         assert len(rows) == 120
         report = json.loads((tmp_path / "spectrum.json").read_text())
         jsonschema.validate(report, load_schema())
+        assert report["reduced_dim"] == 10 * 8  # n_space times the kernel rank
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(dict(report, reduced_dim=80.5), load_schema())
         assert report["min_modulus"] > 0.82
         assert report["cluster_fraction_symmetric"] * 100 == pytest.approx(68.3, abs=3.0)
 

@@ -157,6 +157,18 @@ def test_sweep_solves_in_place_and_rejects_strided_rhs():
         _kernels.sweep(ab, np.zeros(6)[::2])
 
 
+def test_multi_column_sweep_matches_column_sweeps_exactly():
+    rng = np.random.default_rng(5)
+    node_off = ragged()[2]
+    ab = _kernels.band(rng.uniform(0.05, 2.0, size=int(node_off[-1])), node_off)
+    rhs = np.asfortranarray(rng.standard_normal((ab.shape[1], 4)))
+    expected = np.column_stack([_kernels.sweep(ab, col.copy()) for col in rhs.T])
+    assert _kernels.sweep(ab, rhs) is rhs
+    assert np.array_equal(rhs, expected)
+    with pytest.raises(ValueError):
+        _kernels.sweep(ab, np.ascontiguousarray(expected))
+
+
 def test_singular_band_raises():
     ab = _kernels.band(np.array([0.0, -1.0]), np.array([0, 2]))
     with pytest.raises(NumericalError):

@@ -86,10 +86,15 @@ def test_strength_bound_is_scattering_infinity_norm(case):
 
 @st.composite
 def spectrum_cells(draw):
-    preset = draw(st.sampled_from(["mono", "coherent", "crd"]))
-    params = {"gamma_scale": draw(st.floats(0.0, 1.2)), "n_space": draw(st.integers(2, 10))}
+    preset = draw(st.sampled_from(["mono", "coherent", "crd", "aniso2d"]))
+    params = {"gamma_scale": draw(st.floats(0.0, 1.2))}
+    # the rank-8 kernel takes the reduced core only above 8 angles
+    if preset == "aniso2d":
+        params.update(n_x=draw(st.integers(2, 5)), n_y=draw(st.integers(2, 5)),
+                      n_angles=draw(st.integers(6, 12)))
+        return quiet_build(preset, params)
+    params["n_space"] = draw(st.integers(2, 10))
     if preset == "mono":
-        # the rank-8 kernel takes the reduced core only above 8 angles
         params["n_angles"] = 2 * draw(st.integers(1, 10))
     else:
         params.update(n_angles=2 * draw(st.integers(1, 4)), n_freq=draw(st.integers(2, 6)))

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rtkrylov import presets
 from rtkrylov.errors import NumericalError, ResourceLimitError
+from rtkrylov.multidim import TransferOperator2D
 from rtkrylov.operator import materialize_A
-from rtkrylov.scattering import materialize_scattering
+from rtkrylov.scattering import build_scattering, materialize_scattering
 from rtkrylov.spectrum import clustering_trend, compute_spectrum
+from rtkrylov.transfer import TransferOperator
 
 from conftest import assert_matches_dense_spectrum
 
@@ -19,6 +23,7 @@ class TestComputeSpectrum:
         assert rep.cluster_fraction_one_sided == 1.0
         assert rep.min_modulus == 1.0
         assert all(c == 0 for c in rep.outlier_counts.values())
+        assert rep.reduced_dim == p.n_total  # rank 8 > 4 angles: dense eigensolve
 
     def test_monochromatic_reference_cell(self):
         rep = compute_spectrum(presets.monochromatic(10, 12))
@@ -54,10 +59,48 @@ class TestComputeSpectrum:
         ("mono", dict(n_space=12, n_angles=12)),
         ("coherent", dict(n_space=6, n_angles=8, n_freq=5)),
         ("crd", dict(n_space=6, n_angles=8, n_freq=5)),
+        ("aniso2d", dict(n_x=6, n_y=6, n_angles=12)),
     ])
     def test_reduced_core_matches_dense_eigensolve(self, preset, params):
         p = presets.build(preset, **params)
+        rep = compute_spectrum(p)
+        assert rep.reduced_dim == p.grid.n_space * p.scattering.d.size < p.n_total
+        assert_matches_dense_spectrum(p, rep)
+
+    def test_reduced_core_with_coefficient_not_separable(self):
+        # every preset's gamma is a product g(space) h(ray); for those the
+        # spectrum does not see on which side of the transfer gamma acts
+        p = presets.monochromatic(12, 12)
+        p.scattering = build_scattering(p.grid, p.scattering.kernel,
+                                        lambda t, mu, nu: 0.1 * (1.0 - t) * (1.0 + mu * t))
         assert_matches_dense_spectrum(p, compute_spectrum(p))
+
+    @pytest.mark.parametrize("preset,params", [
+        ("mono", dict(n_space=40, n_angles=24)),
+        ("crd", dict(n_space=10, n_angles=8, n_freq=5)),
+        ("aniso2d", dict(n_x=6, n_y=6, n_angles=12)),
+    ])
+    def test_core_path_never_materializes_transfer(self, preset, params, monkeypatch):
+        def fail(self, dense_cap=None):
+            raise AssertionError("transfer materialized on the core path")
+
+        p = presets.build(preset, **params)
+        monkeypatch.setattr(TransferOperator, "materialize", fail)
+        monkeypatch.setattr(TransferOperator2D, "materialize", fail)
+        rep = compute_spectrum(p)
+        assert rep.n == p.n_total
+        assert rep.reduced_dim < p.n_total
+
+    def test_core_path_allocates_less_than_one_n_by_k_array(self):
+        # the Table 1 cell (100,24): N = 2400, k = 800
+        p = presets.monochromatic(100, 24)
+        tracemalloc.start()
+        try:
+            rep = compute_spectrum(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * p.n_total * rep.reduced_dim
 
     def test_eigensolver_failure_raises_numerical_error(self, monkeypatch):
         def fail(a):

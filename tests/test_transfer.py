@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from rtkrylov import presets
 from rtkrylov.errors import ResourceLimitError
 from rtkrylov.grid import Grid, build_grid
 from rtkrylov.transfer import build_transfer, lower_block, materialize_transfer
@@ -246,3 +249,36 @@ class TestMaterialize:
         assert counts[2] <= counts[1] + 2
         assert abs(counts[2] - counts[1]) < abs(counts[1] - counts[0])
         assert max(fro) / min(fro) < 1.1
+
+
+RAY_BLOCK_CASES = [
+    ("mono", dict(n_space=9, n_angles=6)),
+    ("crd", dict(n_space=7, n_angles=4, n_freq=3)),  # down and up rays at each frequency
+    ("aniso2d", dict(n_x=5, n_y=4, n_angles=6)),
+]
+
+
+def diagonal_blocks(dense, grid):
+    view = dense.reshape(grid.n_space, grid.n_rays, grid.n_space, grid.n_rays)
+    return np.stack([view[:, k, :, k] for k in range(grid.n_rays)])
+
+
+class TestRayBlocks:
+    @pytest.fixture(params=RAY_BLOCK_CASES, ids=[c[0] for c in RAY_BLOCK_CASES])
+    def problem(self, request):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return presets.build(request.param[0], **request.param[1])
+
+    def test_match_diagonal_blocks_of_materialization(self, problem):
+        op, g = problem.transfer, problem.grid
+        blocks = op.ray_blocks()
+        assert blocks.shape == (g.n_rays, g.n_space, g.n_space)
+        np.testing.assert_allclose(blocks, diagonal_blocks(op.materialize(), g),
+                                   rtol=1e-13, atol=1e-15)
+
+    def test_match_apply_of_unit_vectors(self, problem):
+        # the apply sweeps the same right-hand side column by column
+        op, g = problem.transfer, problem.grid
+        applied = np.column_stack([op.apply_space_major(e) for e in np.eye(g.n_total)])
+        assert np.array_equal(op.ray_blocks(), diagonal_blocks(applied, g))

@@ -7,7 +7,9 @@ entry to exit) and coupled to the Cartesian grid by two sparse
 interpolation operators: bilinear from Cartesian to line nodes, normalized
 inverse-distance from line nodes back to Cartesian (both with rows summing
 to one). The composed per-direction operator is
-cartesian -> lines -> transfer -> cartesian.
+cartesian -> lines -> transfer -> cartesian. A family's lines are built, and
+a callable opacity chi(x, y) or inflow(x, y) is evaluated, on whole arrays
+of points at once.
 """
 
 from __future__ import annotations
@@ -93,33 +95,27 @@ class CharacteristicLine:
 
 @dataclass
 class RayFamily:
-    direction: np.ndarray
-    lines: list
-    node_offsets: np.ndarray = field(init=False)  # (n_lines + 1,) into flat node storage
+    """Parallel lines of one direction, stored flat: line l owns nodes
+    node_offsets[l]:node_offsets[l + 1], entry first."""
 
-    def __post_init__(self):
-        counts = [ln.n_nodes for ln in self.lines]
-        self.node_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    direction: np.ndarray
+    nodes: np.ndarray         # (n_nodes, 2) Cartesian coordinates of every line node
+    node_offsets: np.ndarray  # (n_lines + 1,) line starts in nodes
+    entries: np.ndarray       # (n_lines, 2) boundary point where each line enters
+    lengths: np.ndarray       # (n_lines,) arc length of each line
 
     @property
     def n_nodes(self) -> int:
         return int(self.node_offsets[-1])
 
+    @property
+    def lines(self) -> list:
+        """One CharacteristicLine per line, viewing the flat arrays."""
+        return [CharacteristicLine(entry, float(length), self.nodes[a:b]) for entry, length, a, b
+                in zip(self.entries, self.lengths, self.node_offsets[:-1], self.node_offsets[1:])]
+
     def all_nodes(self) -> np.ndarray:
-        return np.concatenate([ln.nodes for ln in self.lines], axis=0)
-
-
-def _exit_parameter(p, d, grid: CartesianGrid2D) -> float:
-    t = math.inf
-    if d[0] > 0:
-        t = min(t, (grid.x1 - p[0]) / d[0])
-    elif d[0] < 0:
-        t = min(t, (grid.x0 - p[0]) / d[0])
-    if d[1] > 0:
-        t = min(t, (grid.y1 - p[1]) / d[1])
-    elif d[1] < 0:
-        t = min(t, (grid.y0 - p[1]) / d[1])
-    return t
+        return self.nodes
 
 
 def trace_rays(grid: CartesianGrid2D, direction, spacing: Optional[float] = None,
@@ -127,52 +123,57 @@ def trace_rays(grid: CartesianGrid2D, direction, spacing: Optional[float] = None
     """Cover the rectangle with parallel lines along one direction.
 
     Seeds sit every `spacing` along both upstream edges (grid spacing by
-    default, one seed per boundary cell corner); duplicate lines are merged
-    and zero-length corner lines dropped. Nodes are equidistant in arc
-    length with step at most min(grid spacing, node_step).
+    default, one seed per boundary cell corner); duplicate lines are merged,
+    zero-length corner lines dropped, and the rest ordered across the
+    direction. Nodes are equidistant in arc length with step at most
+    min(grid spacing, node_step); both overrides must be positive and finite.
     """
     d = np.asarray(direction, dtype=float)
     norm = float(np.linalg.norm(d))
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
     d = d / norm
-    if spacing is None:
-        spacing = min(grid.hx, grid.hy)
+    if not all(v is None or 0.0 < v < math.inf for v in (spacing, node_step)):
+        raise ValueError("spacing and node_step must be positive and finite")
     step = min(grid.hx, grid.hy)
-    if node_step is not None:
-        step = min(step, node_step)
+    spacing = step if spacing is None else spacing
+    step = step if node_step is None else min(step, node_step)
 
     diag = math.hypot(grid.x1 - grid.x0, grid.y1 - grid.y0)
+    bounds = ((grid.x0, grid.x1), (grid.y0, grid.y1))
     seeds = []
-    if abs(d[0]) > 1e-14:
-        x_edge = grid.x0 if d[0] > 0 else grid.x1
-        n_seed = int(round((grid.y1 - grid.y0) / spacing))
-        for j in range(n_seed + 1):
-            seeds.append((x_edge, min(grid.y0 + j * spacing, grid.y1)))
-    if abs(d[1]) > 1e-14:
-        y_edge = grid.y0 if d[1] > 0 else grid.y1
-        n_seed = int(round((grid.x1 - grid.x0) / spacing))
-        for j in range(n_seed + 1):
-            seeds.append((min(grid.x0 + j * spacing, grid.x1), y_edge))
+    for axis in (0, 1):  # the upstream edge normal to this axis, seeded along the other
+        if abs(d[axis]) > 1e-14:
+            lo, hi = bounds[1 - axis]
+            edge = np.empty((int(round((hi - lo) / spacing)) + 1, 2))
+            edge[:, axis] = bounds[axis][0 if d[axis] > 0 else 1]
+            edge[:, 1 - axis] = np.minimum(lo + np.arange(edge.shape[0]) * spacing, hi)
+            seeds.append(edge)
+    seeds = np.concatenate(seeds)
 
-    perp = np.array([-d[1], d[0]])
-    lines = {}
-    for seed in seeds:
-        p = np.asarray(seed)
-        length = _exit_parameter(p, d, grid)
-        if length <= 1e-12 * diag:
-            continue
-        offset = round(float(np.dot(perp, p)) / (1e-9 * diag))
-        if offset in lines:
-            continue
-        m = max(2, int(math.ceil(length / step - 1e-9)) + 1)
-        arc = np.linspace(0.0, length, m)
-        nodes = p[None, :] + arc[:, None] * d[None, :]
-        lines[offset] = CharacteristicLine(entry=p, length=length, nodes=nodes)
-    ordered = [lines[key] for key in sorted(lines)]
-    if not ordered:
+    # arc length to the exit: the nearest downstream edge crossing
+    length = np.full(seeds.shape[0], math.inf)
+    for axis, (lo, hi) in enumerate(bounds):
+        if d[axis] != 0.0:
+            length = np.minimum(length, ((hi if d[axis] > 0 else lo) - seeds[:, axis]) / d[axis])
+    keep = length > 1e-12 * diag
+    seeds, length = seeds[keep], length[keep]
+    # one line per offset across the direction, from its first seed, in offset order
+    offset = np.rint(np.vecdot(np.array([-d[1], d[0]]), seeds) / (1e-9 * diag))
+    _, first = np.unique(offset, return_index=True)
+    if first.size == 0:
         raise ValueError("no line intersects the domain")
-    return RayFamily(direction=d, lines=ordered)
+    entries, lengths = seeds[first], length[first]
+
+    counts = np.maximum(2, np.ceil(lengths / step - 1e-9).astype(np.int64) + 1)
+    node_offsets = np.concatenate([[0], np.cumsum(counts)])
+    line = np.repeat(np.arange(counts.size), counts)
+    # arc of node j on line l is j * length_l / (m_l - 1), the exit exactly length_l
+    arc = (np.arange(node_offsets[-1]) - node_offsets[line]) * (lengths / (counts - 1))[line]
+    arc[node_offsets[1:] - 1] = lengths
+    nodes = entries[line] + arc[:, None] * d
+    return RayFamily(direction=d, nodes=nodes, node_offsets=node_offsets,
+                     entries=entries, lengths=lengths)
 
 
 @dataclass
@@ -191,7 +192,8 @@ class InterpolatorPair(NamedTuple):
 
 
 def _bilinear_rows(grid: CartesianGrid2D, points: np.ndarray):
-    """(rows, cols, vals) of the bilinear stencils, four per point, zeros dropped."""
+    """(cols, vals, keep) of the bilinear stencils, one row of four per point,
+    columns ascending; keep marks the nonzero weights."""
     x, y = points[:, 0], points[:, 1]
     ix = np.clip(((x - grid.x0) / grid.hx).astype(np.int64), 0, grid.n_x - 2)
     iy = np.clip(((y - grid.y0) / grid.hy).astype(np.int64), 0, grid.n_y - 2)
@@ -200,46 +202,43 @@ def _bilinear_rows(grid: CartesianGrid2D, points: np.ndarray):
     fx = np.where(fx < _SNAP, 0.0, np.where(fx > 1.0 - _SNAP, 1.0, fx))
     fy = np.where(fy < _SNAP, 0.0, np.where(fy > 1.0 - _SNAP, 1.0, fy))
     base = ix * grid.n_y + iy
-    cols = np.column_stack([base, base + grid.n_y, base + 1, base + grid.n_y + 1])
-    vals = np.column_stack([(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy),
-                            (1.0 - fx) * fy, fx * fy])
-    keep = vals != 0.0
-    rows = np.broadcast_to(np.arange(points.shape[0])[:, None], keep.shape)
-    return rows[keep], cols[keep], vals[keep]
+    cols = np.column_stack([base, base + 1, base + grid.n_y, base + grid.n_y + 1])
+    vals = np.column_stack([(1.0 - fx) * (1.0 - fy), (1.0 - fx) * fy,
+                            fx * (1.0 - fy), fx * fy])
+    return cols, vals, vals != 0.0
+
+
+def _csr(cols, vals, keep, shape) -> csr_matrix:
+    """CSR matrix with row r holding cols[r][keep[r]] (ascending) and their vals."""
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
+    return csr_matrix((vals[keep], cols[keep], indptr), shape=shape)
 
 
 def build_interpolators(family: RayFamily, grid: CartesianGrid2D) -> InterpolatorPair:
     """(cartesian->ray bilinear, ray->cartesian inverse distance) pair."""
     pts = family.all_nodes()
-    rows, cols, vals = _bilinear_rows(grid, pts)
-    cart_to_ray = Interpolator(csr_matrix(
-        (vals, (rows, cols)), shape=(family.n_nodes, grid.n_space)
-    ))
+    cart_to_ray = Interpolator(_csr(*_bilinear_rows(grid, pts), (family.n_nodes, grid.n_space)))
 
-    tree = cKDTree(pts)
     k = min(4, family.n_nodes)
-    dist, idx = tree.query(grid.node_xy, k=k)
-    dist = np.atleast_2d(dist.reshape(grid.n_space, k))
-    idx = np.atleast_2d(idx.reshape(grid.n_space, k))
+    dist, idx = cKDTree(pts).query(grid.node_xy, k=k)
+    dist, idx = dist.reshape(grid.n_space, k), idx.reshape(grid.n_space, k)
     reach = 2.0 * max(grid.hx, grid.hy)
     if np.any(dist[:, 0] > reach):
-        worst = float(dist[:, 0].max())
-        raise CoverageError(
-            f"ray family too sparse: a Cartesian node is {worst:.3g} away from "
-            f"the nearest line node (limit {reach:.3g})"
-        )
+        raise CoverageError(f"ray family too sparse: a Cartesian node is {dist[:, 0].max():.3g} "
+                            f"away from the nearest line node (limit {reach:.3g})")
     # a node on a line takes that line node alone; the others weigh their k
-    # nearest line nodes by inverse distance
+    # nearest line nodes by inverse distance, in ascending column order
     exact = dist[:, 0] <= _SNAP * max(grid.hx, grid.hy)
     vals = np.zeros((grid.n_space, k))
     vals[exact, 0] = 1.0
     inv = 1.0 / dist[~exact]
     vals[~exact] = inv / inv.sum(axis=1, keepdims=True)
+    order = np.argsort(idx, axis=1)
+    order[exact] = np.arange(k)
     keep = ~exact[:, None] | (np.arange(k) == 0)
-    rows = np.broadcast_to(np.arange(grid.n_space)[:, None], keep.shape)
-    ray_to_cart = Interpolator(csr_matrix(
-        (vals[keep], (rows[keep], idx[keep])), shape=(grid.n_space, family.n_nodes)
-    ))
+    ray_to_cart = Interpolator(_csr(np.take_along_axis(idx, order, axis=1),
+                                    np.take_along_axis(vals, order, axis=1),
+                                    keep, (grid.n_space, family.n_nodes)))
     return InterpolatorPair(cart_to_ray, ray_to_cart)
 
 
@@ -327,32 +326,33 @@ def build_transfer_2d(grid: CartesianGrid2D, chi: Union[float, Callable] = 1.0,
     """Trace all direction families and assemble the composed transfer.
 
     chi is the opacity (scalar or chi(x, y)); optical-depth increments are
-    arc length times the midpoint opacity. inflow is the boundary intensity,
-    evaluated at each line's entry point (scalar or inflow(x, y)). A
-    non-finite optical-depth increment is rejected with ValueError.
+    arc length times the midpoint opacity. inflow is the boundary intensity
+    at each line's entry point (scalar or inflow(x, y)). A callable is given
+    arrays of x and y and returns one value per point. A non-finite
+    optical-depth increment or boundary intensity is rejected with ValueError.
     """
-    chi_fn = chi if callable(chi) else (lambda x, y: np.full_like(np.asarray(x, dtype=float), float(chi)))
+    chi_fn = chi if callable(chi) else (lambda x, y: float(chi))
     inflow_fn = inflow if callable(inflow) else (lambda x, y: float(inflow))
 
-    families, blocks = [], []
-    dtau_parts, entry_values = [], []
-    for k in range(grid.n_rays):
-        family = trace_rays(grid, grid.directions[k], spacing=spacing, node_step=node_step)
-        families.append(family)
-        blocks.append(build_interpolators(family, grid))
-        for line in family.lines:
-            mids = 0.5 * (line.nodes[1:] + line.nodes[:-1])
-            seg = np.linalg.norm(np.diff(line.nodes, axis=0), axis=1)
-            dtau_line = seg * np.asarray(chi_fn(mids[:, 0], mids[:, 1]), dtype=float)
-            if not np.all(np.isfinite(dtau_line)):
-                raise ValueError("optical-depth increments must be finite")
-            dtau_parts.append(np.concatenate([[0.0], dtau_line]))
-            entry_values.append(float(inflow_fn(line.entry[0], line.entry[1])))
-    dtau = np.concatenate(dtau_parts)
-    line_offsets = np.concatenate([[0], np.cumsum([p.size for p in dtau_parts])])
-    band = _kernels.band(dtau, line_offsets)
+    families = [trace_rays(grid, d, spacing, node_step) for d in grid.directions]
+    blocks = [build_interpolators(fam, grid) for fam in families]
+    # all directions' lines end to end; the terms bridging two lines are reset
+    bases = np.cumsum([0] + [fam.n_nodes for fam in families])
+    starts = np.concatenate([fam.node_offsets[:-1] + b for fam, b in zip(families, bases)])
+    nodes = np.concatenate([fam.nodes for fam in families])
+    entries = np.concatenate([fam.entries for fam in families])
+    mids = 0.5 * (nodes[1:] + nodes[:-1])
+    dtau = np.empty(nodes.shape[0])
+    dtau[1:] = (np.linalg.norm(np.diff(nodes, axis=0), axis=1)
+                * np.asarray(chi_fn(mids[:, 0], mids[:, 1]), dtype=float))
+    dtau[starts] = 0.0
+    if not np.all(np.isfinite(dtau)):
+        raise ValueError("optical-depth increments must be finite")
     boundary = np.zeros_like(dtau)
-    boundary[line_offsets[:-1]] = entry_values
+    boundary[starts] = np.asarray(inflow_fn(entries[:, 0], entries[:, 1]), dtype=float)
+    if not np.all(np.isfinite(boundary)):
+        raise ValueError("boundary intensities must be finite")
+    band = _kernels.band(dtau, np.append(starts, bases[-1]))
     return TransferOperator2D(
         grid=grid, families=families, blocks=blocks, dtau=dtau, band=band,
         boundary=_kernels.sweep(band, boundary),

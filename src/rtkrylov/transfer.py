@@ -118,7 +118,8 @@ def build_transfer(grid: Grid, i_in_deep=0.0, i_in_surf=0.0) -> TransferOperator
 
     mu > 0 rays carry the boundary value from t_deep upward, mu < 0 rays
     carry the value from t_surf downward. The grid lists the mu < 0 rays
-    first, so each direction is one contiguous half of the rays.
+    first, so each direction is one contiguous half of the rays. Non-finite
+    increments or boundary values are rejected with ValueError.
     """
     table = grid.delta_tau_table()
     if not np.all(np.isfinite(table)):
@@ -131,6 +132,8 @@ def build_transfer(grid: Grid, i_in_deep=0.0, i_in_surf=0.0) -> TransferOperator
     boundary = np.zeros_like(dtau)
     boundary[:n_down, 0] = _per_frequency_values(grid, i_in_surf)[:n_down]
     boundary[n_down:, 0] = _per_frequency_values(grid, i_in_deep)[n_down:]
+    if not np.all(np.isfinite(boundary)):
+        raise ValueError("boundary intensities must be finite")
     _kernels.sweep(band, boundary.reshape(-1))
     return TransferOperator(grid=grid, dtau=dtau, n_down=n_down, band=band,
                             boundary=boundary)

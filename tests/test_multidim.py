@@ -5,6 +5,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
+from rtkrylov import _kernels
 from rtkrylov.errors import CoverageError
 from rtkrylov.krylov import SolveConfig, gmres
 from rtkrylov.multidim import (
@@ -20,10 +21,77 @@ from rtkrylov.transfer import lower_block
 SNAP = 1e-12
 
 
-def loop_interpolators(family, grid):
-    # per-point loops: the reference the vectorized build must reproduce exactly
+def loop_trace_rays(grid, direction, spacing=None, node_step=None):
+    # per-seed loop: the reference trace_rays must reproduce exactly;
+    # returns (entry, length, nodes) per line in the family's order
+    d = np.asarray(direction, dtype=float)
+    norm = float(np.linalg.norm(d))
+    if norm == 0.0:
+        raise ValueError("direction must be nonzero")
+    d = d / norm
+    if spacing is None:
+        spacing = min(grid.hx, grid.hy)
+    step = min(grid.hx, grid.hy)
+    if node_step is not None:
+        step = min(step, node_step)
+    diag = math.hypot(grid.x1 - grid.x0, grid.y1 - grid.y0)
+    seeds = []
+    if abs(d[0]) > 1e-14:
+        x_edge = grid.x0 if d[0] > 0 else grid.x1
+        for j in range(int(round((grid.y1 - grid.y0) / spacing)) + 1):
+            seeds.append((x_edge, min(grid.y0 + j * spacing, grid.y1)))
+    if abs(d[1]) > 1e-14:
+        y_edge = grid.y0 if d[1] > 0 else grid.y1
+        for j in range(int(round((grid.x1 - grid.x0) / spacing)) + 1):
+            seeds.append((min(grid.x0 + j * spacing, grid.x1), y_edge))
+    perp = np.array([-d[1], d[0]])
+    lines = {}
+    for seed in seeds:
+        p = np.asarray(seed)
+        length = math.inf
+        for axis, (lo, hi) in enumerate(((grid.x0, grid.x1), (grid.y0, grid.y1))):
+            if d[axis] > 0:
+                length = min(length, (hi - p[axis]) / d[axis])
+            elif d[axis] < 0:
+                length = min(length, (lo - p[axis]) / d[axis])
+        if length <= 1e-12 * diag:
+            continue
+        offset = round(float(np.dot(perp, p)) / (1e-9 * diag))
+        if offset in lines:
+            continue
+        m = max(2, int(math.ceil(length / step - 1e-9)) + 1)
+        arc = np.linspace(0.0, length, m)
+        lines[offset] = (p, length, p[None, :] + arc[:, None] * d[None, :])
+    if not lines:
+        raise ValueError("no line intersects the domain")
+    return [lines[key] for key in sorted(lines)]
+
+
+def loop_transfer_2d(grid, chi=1.0, inflow=0.0, spacing=None, node_step=None):
+    # per-line dtau and inflow loops over the reference lines of every direction:
+    # (per-direction lines, dtau, band, boundary) as build_transfer_2d must give them
+    chi_fn = chi if callable(chi) else (lambda x, y: np.full_like(np.asarray(x, dtype=float), chi))
+    families, dtau_parts, entry_values = [], [], []
+    for direction in grid.directions:
+        families.append(loop_trace_rays(grid, direction, spacing, node_step))
+        for entry, _, nodes in families[-1]:
+            mids = 0.5 * (nodes[1:] + nodes[:-1])
+            seg = np.linalg.norm(np.diff(nodes, axis=0), axis=1)
+            dtau_parts.append(np.concatenate([[0.0], seg * np.asarray(chi_fn(mids[:, 0], mids[:, 1]))]))
+            entry_values.append(float(inflow(entry[0], entry[1]) if callable(inflow) else inflow))
+    dtau = np.concatenate(dtau_parts)
+    offsets = np.concatenate([[0], np.cumsum([part.size for part in dtau_parts])])
+    band = _kernels.band(dtau, offsets)
+    boundary = np.zeros_like(dtau)
+    boundary[offsets[:-1]] = entry_values
+    return families, dtau, band, _kernels.sweep(band, boundary)
+
+
+def loop_interpolators(pts, grid):
+    # per-point loops over the line nodes pts: the reference the vectorized
+    # build must reproduce exactly
     rows, cols, vals = [], [], []
-    for r, (x, y) in enumerate(family.all_nodes()):
+    for r, (x, y) in enumerate(pts):
         ix = min(max(int((x - grid.x0) / grid.hx), 0), grid.n_x - 2)
         iy = min(max(int((y - grid.y0) / grid.hy), 0), grid.n_y - 2)
         fx = (x - grid.x_nodes[ix]) / grid.hx
@@ -36,10 +104,10 @@ def loop_interpolators(family, grid):
                 rows.append(r)
                 cols.append(jx * grid.n_y + jy)
                 vals.append(w)
-    cart_to_ray = csr_matrix((vals, (rows, cols)), shape=(family.n_nodes, grid.n_space))
+    cart_to_ray = csr_matrix((vals, (rows, cols)), shape=(len(pts), grid.n_space))
 
-    k = min(4, family.n_nodes)
-    dist, idx = cKDTree(family.all_nodes()).query(grid.node_xy, k=k)
+    k = min(4, len(pts))
+    dist, idx = cKDTree(pts).query(grid.node_xy, k=k)
     dist, idx = dist.reshape(grid.n_space, k), idx.reshape(grid.n_space, k)
     rows, cols, vals = [], [], []
     for r in range(grid.n_space):
@@ -54,7 +122,39 @@ def loop_interpolators(family, grid):
             rows.append(r)
             cols.append(int(idx[r, j]))
             vals.append(float(w[j]))
-    return cart_to_ray, csr_matrix((vals, (rows, cols)), shape=(grid.n_space, family.n_nodes))
+    return cart_to_ray, csr_matrix((vals, (rows, cols)), shape=(grid.n_space, len(pts)))
+
+
+def assert_identical(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def assert_csr_identical(got, ref):
+    for attr in ("indptr", "indices", "data"):
+        assert_identical(getattr(got, attr), getattr(ref, attr))
+
+
+def assert_family_matches_loop(family, ref_lines):
+    assert_identical(family.nodes, np.concatenate([nodes for _, _, nodes in ref_lines]))
+    assert_identical(family.node_offsets,
+                     np.cumsum([0] + [nodes.shape[0] for _, _, nodes in ref_lines]))
+    assert_identical(family.entries, np.array([entry for entry, _, _ in ref_lines]))
+    assert_identical(family.lengths, np.array([length for _, length, _ in ref_lines]))
+
+
+def assert_build_matches_loops(grid, **kwargs):
+    """build_transfer_2d equals the per-seed, per-line and per-point loops bit for bit."""
+    op = build_transfer_2d(grid, **kwargs)
+    ref_families, dtau, band, boundary = loop_transfer_2d(grid, **kwargs)
+    for family, pair, ref_lines in zip(op.families, op.blocks, ref_families, strict=True):
+        assert_family_matches_loop(family, ref_lines)
+        for got, ref in zip(pair, loop_interpolators(family.nodes, grid)):
+            assert_csr_identical(got.matrix, ref)
+    assert_identical(op.dtau, dtau)
+    assert_identical(op.band, band)
+    assert_identical(op.boundary, boundary)
 
 
 @pytest.fixture
@@ -97,8 +197,46 @@ class TestTraceRays:
             assert all(ln.n_nodes >= 2 for ln in family.lines)
 
     def test_zero_direction_rejected(self, unit_grid_4):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="direction must be nonzero"):
             trace_rays(unit_grid_4, (0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("override", ["spacing", "node_step"])
+    def test_invalid_spacing_rejected(self, unit_grid_4, override, bad):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            trace_rays(unit_grid_4, (1.0, 1.0), **{override: bad})
+
+    def test_no_line_rejected(self, unit_grid_4):
+        # the one seed sits on the bottom-left corner, and the line leaves at once
+        with pytest.raises(ValueError, match="no line intersects the domain"):
+            trace_rays(unit_grid_4, (1.0, -1e-15), spacing=10.0)
+
+    @pytest.mark.parametrize("direction", [(1.0, 0.0), (1.0, 1.0), (0.0, -2.0), (-1.0, 0.3)])
+    @pytest.mark.parametrize("shape, domain, spacing, node_step", [
+        ((4, 4, 1), (0.0, 1.0, 0.0, 1.0), None, None),
+        ((5, 9, 1), (0.0, 1.0, 0.0, 1.0), None, None),
+        ((7, 6, 1), (-1.0, 2.5, 0.3, 1.1), 0.15, 0.05),
+        ((6, 6, 1), (0.0, 2.0, 0.0, 1.0), 0.27, None),
+        # the seed at 3 * 0.3 = 0.8999999999999999 starts a line 1.6e-16 long, dropped
+        ((4, 4, 1), (0.0, 0.9, 0.0, 1.0), 0.3, None),
+    ])
+    def test_matches_per_seed_loop(self, direction, shape, domain, spacing, node_step):
+        grid = CartesianGrid2D(*shape, domain=domain)
+        family = trace_rays(grid, direction, spacing=spacing, node_step=node_step)
+        ref_lines = loop_trace_rays(grid, direction, spacing, node_step)
+        assert_family_matches_loop(family, ref_lines)
+        for line, (entry, length, nodes) in zip(family.lines, ref_lines, strict=True):
+            assert_identical(line.entry, entry)
+            assert line.length == length and line.n_nodes == nodes.shape[0]
+            assert_identical(line.nodes, nodes)
+
+    def test_diagonal_merges_corner_seeds_and_drops_corner_lines(self, unit_grid_4):
+        # four seeds on each upstream edge share the corner (0, 0); the lines
+        # from (0, 1) and (1, 0) have zero length
+        family = trace_rays(unit_grid_4, (1.0, 1.0))
+        assert len(family.lines) == 4 + 4 - 1 - 2
+        assert family.lengths.min() > 0.0
+        np.testing.assert_array_equal(family.entries[2], [0.0, 0.0])
 
 
 class TestInterpolators:
@@ -138,9 +276,8 @@ class TestInterpolators:
         for direction in grid.directions:
             family = trace_rays(grid, direction)
             pair = build_interpolators(family, grid)
-            for got, ref in zip(pair, loop_interpolators(family, grid)):
-                for attr in ("data", "indices", "indptr"):
-                    assert np.array_equal(getattr(got.matrix, attr), getattr(ref, attr))
+            for got, ref in zip(pair, loop_interpolators(family.all_nodes(), grid)):
+                assert_csr_identical(got.matrix, ref)
 
     def test_coverage_error_for_sparse_family(self, unit_grid_8):
         family = trace_rays(unit_grid_8, (1.0, 0.0), spacing=10.0)
@@ -166,8 +303,39 @@ class TestTransfer2D:
 
     @pytest.mark.parametrize("chi", [math.nan, lambda x, y: np.where(x > 0.5, math.inf, 1.0)])
     def test_non_finite_opacity_rejected(self, unit_grid_4, chi):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="optical-depth increments must be finite"):
             build_transfer_2d(unit_grid_4, chi=chi)
+
+    @pytest.mark.parametrize("inflow", [math.inf, math.nan,
+                                        lambda x, y: np.where(y > 0.5, math.nan, 1.0)])
+    def test_non_finite_inflow_rejected(self, unit_grid_4, inflow):
+        with pytest.raises(ValueError, match="boundary intensities must be finite"):
+            build_transfer_2d(unit_grid_4, inflow=inflow)
+
+    def test_callable_inflow_receives_entry_arrays(self, unit_grid_4):
+        seen = []
+        op = build_transfer_2d(unit_grid_4, inflow=lambda x, y: seen.append((x, y)) or x + y)
+        entries = np.concatenate([fam.entries for fam in op.families])
+        (x, y), = seen
+        assert_identical(x, entries[:, 0])
+        assert_identical(y, entries[:, 1])
+
+    @pytest.mark.parametrize("shape, kwargs", [
+        ((4, 4, 8), {}),
+        ((5, 9, 3), {"chi": 1.3, "inflow": 0.7}),
+        ((16, 16, 12), {}),
+        ((48, 48, 24), {}),
+        ((9, 7, 5), {"spacing": 0.07, "node_step": 0.05}),
+        ((10, 14, 6), {"chi": lambda x, y: 1.0 + x * y,
+                       "inflow": lambda x, y: np.exp(-x) + np.sin(3.0 * y)}),
+    ])
+    def test_matches_per_line_loops(self, shape, kwargs):
+        assert_build_matches_loops(CartesianGrid2D(*shape), **kwargs)
+
+    def test_matches_per_line_loops_on_shifted_domain(self):
+        grid = CartesianGrid2D(7, 11, 6, domain=(-1.0, 2.5, 0.3, 1.1))
+        assert_build_matches_loops(grid, chi=lambda x, y: 0.5 + x**2, inflow=lambda x, y: y - x,
+                                   spacing=0.1, node_step=0.04)
 
     def test_matrix_free_matches_dense_composition(self, unit_grid_8):
         op = build_transfer_2d(unit_grid_8, chi=1.3)

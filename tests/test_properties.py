@@ -2,9 +2,9 @@
 
 The matrix-free applies and the scattering strength bound are checked
 against their dense materializations, the Krylov solvers against the true
-residual, and the 1D spectra against the dense eigensolve. Examples are
-drawn deterministically (derandomize=True), so every run checks the same
-cases.
+residual, the 1D spectra against the dense eigensolve, and the 2D build
+against its per-line loop reference. Examples are drawn deterministically
+(derandomize=True), so every run checks the same cases.
 """
 
 import warnings
@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtkrylov import presets
+from rtkrylov.multidim import CartesianGrid2D
 from rtkrylov.krylov import SolveConfig, solve_system
 from rtkrylov.operator import apply_A, materialize_A
 from rtkrylov.scattering import ScatteringStrengthWarning, _strength_bound, materialize_scattering
 from rtkrylov.spectrum import compute_spectrum
 
 from conftest import assert_matches_dense_spectrum
+from test_multidim import assert_build_matches_loops
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 TOL = 1e-10
@@ -105,3 +107,24 @@ def spectrum_cells(draw):
 @given(spectrum_cells())
 def test_spectrum_matches_dense_eigensolve(p):
     assert_matches_dense_spectrum(p, compute_spectrum(p))
+
+
+@st.composite
+def builds_2d(draw):
+    x0, y0 = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    width, height = draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0))
+    grid = CartesianGrid2D(draw(st.integers(2, 7)), draw(st.integers(2, 7)),
+                           draw(st.integers(1, 8)), domain=(x0, x0 + width, y0, y0 + height))
+    h = min(grid.hx, grid.hy)
+    # line spacing up to 1.5 cells keeps every Cartesian node near a line node
+    kwargs = {"chi": draw(st.floats(0.0, 3.0)), "inflow": draw(st.floats(-1.0, 1.0)),
+              "spacing": draw(st.none() | st.floats(0.3, 1.5).map(lambda f: f * h)),
+              "node_step": draw(st.none() | st.floats(0.3, 2.0).map(lambda f: f * h))}
+    return grid, kwargs
+
+
+@PROPERTY
+@given(builds_2d())
+def test_build_2d_matches_loop_reference(case):
+    grid, kwargs = case
+    assert_build_matches_loops(grid, **kwargs)

@@ -145,6 +145,13 @@ class TestApply:
         with pytest.raises(ValueError):
             build_transfer(g)
 
+    @pytest.mark.parametrize("side", ["i_in_deep", "i_in_surf"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, [1.0, np.nan, 1.0]])
+    def test_non_finite_boundary_rejected(self, side, bad):
+        g = build_grid(5, 2, 3, 0.0, 1.0)
+        with pytest.raises(ValueError, match="boundary intensities must be finite"):
+            build_transfer(g, **{side: bad})
+
     def test_pure_absorption_decays_along_propagation(self):
         g = build_grid(30, 4, 1, 0.0, 1.0)
         op = build_transfer(g, i_in_deep=1.0, i_in_surf=1.0)

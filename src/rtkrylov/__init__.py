@@ -12,7 +12,7 @@ strongly the eigenvalues of A cluster at one under grid refinement.
 __version__ = "0.1.0"
 
 from rtkrylov.quadrature import QuadratureRule, gauss_legendre, legendre_eval, trapezoid
-from rtkrylov.grid import FieldVector, Grid, Ordering, Ray, build_grid, delta_tau, permute
+from rtkrylov.grid import FieldVector, Grid, Ordering, build_grid, permute
 from rtkrylov.errors import CoverageError, DENSE_CAP_DEFAULT, NumericalError, ResourceLimitError
 from rtkrylov.transfer import TransferOperator, build_transfer, materialize_transfer
 from rtkrylov.scattering import (
@@ -45,7 +45,7 @@ from rtkrylov import presets
 
 __all__ = [
     "QuadratureRule", "gauss_legendre", "legendre_eval", "trapezoid",
-    "FieldVector", "Grid", "Ordering", "Ray", "build_grid", "delta_tau", "permute",
+    "FieldVector", "Grid", "Ordering", "build_grid", "permute",
     "CoverageError", "DENSE_CAP_DEFAULT", "NumericalError", "ResourceLimitError",
     "TransferOperator", "build_transfer", "materialize_transfer",
     "CoherentKernel", "CRDKernel", "LegendreKernel", "ScatteringOperator",

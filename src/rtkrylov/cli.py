@@ -52,7 +52,8 @@ _TYPED_FLAGS = {
     "restart": (int, "GMRES restart length (default: no restart)"),
     "max_iter": (int, "iteration limit"),
     "gamma_scale": (float, "factor on the scattering coefficient"),
-    "dense_cap": (int, "largest N whose spectrum is computed"),
+    "dense_cap": (int, "largest matrix a spectrum forms: N x N on the dense path, "
+                       "the k x k core and at most cap^2 ray-block entries on the core path"),
     "out": (str, "output directory"),
 }
 
@@ -252,12 +253,11 @@ def _run_table(cfg: dict, out_dir: Path) -> int:
     rows = []
     for ns, nom, nnu in itertools.product(_int_list(cfg["ns"]), _int_list(cfg["nomega"]),
                                           nnu_list):
-        if ns * nom * nnu > cfg["dense_cap"]:
-            print(f"skipping cell ns={ns} nomega={nom} nnu={nnu}: "
-                  f"size {ns * nom * nnu} over dense cap {cfg['dense_cap']}",
-                  file=sys.stderr)
+        try:
+            rep = compute_spectrum(_problem_from(cfg, ns, nom, nnu), dense_cap=cfg["dense_cap"])
+        except ResourceLimitError as exc:
+            print(f"skipping cell ns={ns} nomega={nom} nnu={nnu}: {exc}", file=sys.stderr)
             continue
-        rep = compute_spectrum(_problem_from(cfg, ns, nom, nnu), dense_cap=cfg["dense_cap"])
         rows.append([str(ns), str(nom), str(nnu), str(rep.n),
                      _fmt(rep.cluster_fraction_one_sided),
                      _fmt(rep.cluster_fraction),

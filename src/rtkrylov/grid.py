@@ -152,15 +152,6 @@ def build_grid(n_space: int, n_angles: int, n_freq: int, t_surf: float, t_deep: 
     return Grid(t_nodes, mu_nodes, angular_weights, nu_nodes, frequency_weights, profile)
 
 
-def delta_tau(grid: Grid, ray, interval: int) -> float:
-    """Optical-depth increment phi(nu) * (t_{i+1} - t_i) / |mu| for 0-based interval i."""
-    if not 0 <= interval < grid.n_space - 1:
-        raise ValueError(f"interval index {interval} out of range")
-    dt = grid.t_nodes[interval + 1] - grid.t_nodes[interval]
-    phi = float(np.asarray(grid.profile(ray.nu), dtype=float))
-    return phi * dt / abs(ray.mu)
-
-
 def permute(grid: Grid, v: FieldVector, target: Ordering) -> FieldVector:
     """Reindex a field vector between space-major and ray-major layouts."""
     values = np.asarray(v.values)

@@ -114,9 +114,6 @@ class RayFamily:
         return [CharacteristicLine(entry, float(length), self.nodes[a:b]) for entry, length, a, b
                 in zip(self.entries, self.lengths, self.node_offsets[:-1], self.node_offsets[1:])]
 
-    def all_nodes(self) -> np.ndarray:
-        return self.nodes
-
 
 def trace_rays(grid: CartesianGrid2D, direction, spacing: Optional[float] = None,
                node_step: Optional[float] = None) -> RayFamily:
@@ -216,7 +213,7 @@ def _csr(cols, vals, keep, shape) -> csr_matrix:
 
 def build_interpolators(family: RayFamily, grid: CartesianGrid2D) -> InterpolatorPair:
     """(cartesian->ray bilinear, ray->cartesian inverse distance) pair."""
-    pts = family.all_nodes()
+    pts = family.nodes
     cart_to_ray = Interpolator(_csr(*_bilinear_rows(grid, pts), (family.n_nodes, grid.n_space)))
 
     k = min(4, family.n_nodes)
@@ -278,7 +275,7 @@ class TransferOperator2D:
         out = np.empty_like(mat)
         for k, (pair, a, b) in self._slices():
             rhs = pair.cart_to_ray.matrix @ np.ascontiguousarray(mat[:, k])
-            rhs *= self.dtau[a:b]
+            rhs *= self.band[0, a:b]  # the weights w, see _kernels.band
             out[:, k] = pair.ray_to_cart.matrix @ _kernels.sweep(self.band[:, a:b], rhs)
         return out.ravel()
 
@@ -291,13 +288,13 @@ class TransferOperator2D:
     def ray_blocks(self) -> np.ndarray:
         """(n_rays, n_space, n_space) diagonal blocks of the transfer, one per direction.
 
-        Each direction sweeps dtau times the dense Cartesian-to-line matrix,
+        Each direction sweeps w times the dense Cartesian-to-line matrix,
         one right-hand side per Cartesian node, and maps the result back.
         """
         out = np.empty((self.grid.n_rays, self.grid.n_space, self.grid.n_space))
         for k, (pair, a, b) in self._slices():
             cols = pair.cart_to_ray.matrix.toarray(order="F")
-            cols *= self.dtau[a:b, None]
+            cols *= self.band[0, a:b, None]
             out[k] = pair.ray_to_cart.matrix @ _kernels.sweep(self.band[:, a:b], cols)
         return out
 

@@ -122,23 +122,38 @@ def build_scattering(grid, kernel: Kernel, gamma) -> ScatteringOperator:
 def _strength_bound(op: ScatteringOperator) -> float:
     """||Gamma Psi W||_inf = max over nodes i and rays k of |gamma_ik| (|Psi| |w|)_k.
 
-    |Psi| |w| goes through the factor in blocks of rays, so the n_rays x
-    n_rays kernel matrix is never formed. Rejects a non-finite kernel with
-    ValueError.
+    |Psi| |w| goes through the factor, so the n_rays x n_rays kernel matrix
+    is never formed. Rejects a non-finite kernel with ValueError.
     """
-    n_rays = op.pt.shape[1]
     w = np.abs(op.grid.combined_weights)
-    dpt = op.d[:, None] * op.pt
+    if np.all(op.pt >= 0.0) and np.all(op.d >= 0.0):
+        row_sums = _row_sums_nonnegative(op.pt, op.d, w)
+    else:
+        row_sums = _row_sums_blocked(op.pt, op.d, w)
+    if not np.all(np.isfinite(row_sums)):
+        raise ValueError("scattering kernel must be finite")
+    return float(np.max(np.abs(op.gamma_table) * row_sums))
+
+
+def _row_sums_nonnegative(pt: np.ndarray, d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """|Psi| w for a factor with no negative entry (coherent, CRD): there
+    |Psi| = Psi = P diag(d) P^T, so the sums contract in O(n_rays r)."""
+    return (d * (pt @ w)) @ pt
+
+
+def _row_sums_blocked(pt: np.ndarray, d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """|Psi| w for any factor (Legendre has negative entries), forming |Psi|
+    one block of rows at a time: n_rays^2 r flops."""
+    n_rays = pt.shape[1]
+    dpt = d[:, None] * pt
     row_sums = np.empty(n_rays)
     # 64 KiB temporaries stay on the heap: freeing a larger, mmap-served one
     # raises glibc's mmap threshold, which grew the peak RSS of a process that
     # builds crd and coherent 200x24x50 by 3.4 MB (2 MB blocks)
     block = max(1, 2**13 // n_rays)
     for start in range(0, n_rays, block):
-        row_sums[start:start + block] = np.abs(op.pt[:, start:start + block].T @ dpt) @ w
-    if not np.all(np.isfinite(row_sums)):
-        raise ValueError("scattering kernel must be finite")
-    return float(np.max(np.abs(op.gamma_table) * row_sums))
+        row_sums[start:start + block] = np.abs(pt[:, start:start + block].T @ dpt) @ w
+    return row_sums
 
 
 def apply_scattering(op: ScatteringOperator, field: np.ndarray) -> np.ndarray:

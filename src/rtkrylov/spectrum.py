@@ -19,7 +19,7 @@ the symmetric count is the one comparable with the reference tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,12 +49,22 @@ def compute_spectrum(problem: RTProblem, dense_cap: int = DENSE_CAP_DEFAULT,
                      eps_values: Sequence[float] = DEFAULT_EPS_VALUES) -> SpectrumReport:
     """Full spectrum of the global operator plus diagnostics.
 
-    Raises ResourceLimitError when n exceeds dense_cap and NumericalError
-    when the eigensolver does not converge.
+    dense_cap bounds what is formed: the n x n operator on the dense path;
+    the k x k core and the n_rays * n_space^2 entries of the ray blocks (at
+    most dense_cap^2) on the core path. Raises ResourceLimitError past it
+    and NumericalError when the eigensolver does not converge.
     """
-    if problem.n_total > dense_cap:
+    g = problem.grid
+    k = g.n_space * problem.scattering.d.size
+    core = None
+    if k < problem.n_total:
+        if k > dense_cap or g.n_rays * g.n_space**2 > dense_cap**2:
+            raise ResourceLimitError(
+                f"spectrum core of size {k} with {g.n_rays} ray blocks of size {g.n_space} "
+                f"exceeds cap {dense_cap}")
+        core = _scattering_core(problem)
+    elif problem.n_total > dense_cap:
         raise ResourceLimitError(f"spectrum of size {problem.n_total} exceeds cap {dense_cap}")
-    core = _scattering_core(problem)
     try:
         if core is None:
             eigenvalues = np.linalg.eigvals(materialize_A(problem, dense_cap=dense_cap))
@@ -82,8 +92,8 @@ def compute_spectrum(problem: RTProblem, dense_cap: int = DENSE_CAP_DEFAULT,
     )
 
 
-def _scattering_core(problem: RTProblem) -> Optional[np.ndarray]:
-    """The k x k core V^T Lambda U, or None when k = n_space * r is not below n.
+def _scattering_core(problem: RTProblem) -> np.ndarray:
+    """The k x k core V^T Lambda U, k = n_space * r.
 
     With B[q] the transfer block of ray q, C[q, i, j] = B[q, i, j] gamma[j, q]
     and E[q, m, m'] = (W P)[q, m] P[q, m'] d[m'], the core entry of rows
@@ -92,8 +102,6 @@ def _scattering_core(problem: RTProblem) -> Optional[np.ndarray]:
     g, s = problem.grid, problem.scattering
     r = s.d.size
     k = g.n_space * r
-    if k >= problem.n_total:
-        return None
     c = problem.transfer.ray_blocks()
     c *= s.gamma_table.T[:, None, :]
     e = s.wpt.T[:, :, None] * (s.pt.T * s.d)[:, None, :]

@@ -4,9 +4,11 @@ Radiation marches along each ray with the implicit-Euler formal solver.
 Every ray is stored entry-first: downward rays (mu < 0) enter at the surface
 and keep the space order, upward rays (mu > 0) enter at depth and are
 reversed in space. In its own order each ray's block is lower triangular
-with a zero first row, so one lower band marches every ray (see _kernels)
-and the boundary term is that same sweep of the inflow; the same sweep with
-one right-hand side per node also yields every ray's block (ray_blocks).
+with a zero first row, so one lower band marches every ray (see _kernels:
+the recursion is divided through by 1 + dtau, so the source enters with the
+weight w = dtau / (1 + dtau) kept in the band) and the boundary term is that
+same sweep of the inflow; the same sweep with one right-hand side per node
+also yields every ray's block (ray_blocks).
 Dense blocks are assembled from the closed-form coefficient products and
 serve as the independent testing path.
 """
@@ -82,7 +84,7 @@ class TransferOperator:
         rhs = np.empty_like(self.dtau)
         rhs[:d] = mat[:, :d].T
         rhs[d:] = mat[::-1, d:].T
-        rhs *= self.dtau
+        rhs *= self.band[0].reshape(self.dtau.shape)  # the weights w, see _kernels.band
         _kernels.sweep(self.band, rhs.reshape(-1))
         return self._to_space_major(rhs)
 
@@ -93,15 +95,15 @@ class TransferOperator:
     def ray_blocks(self) -> np.ndarray:
         """(n_rays, n_space, n_space) diagonal blocks of the transfer, space order.
 
-        One sweep with n_space right-hand sides: column c holds dtau at the
-        c-th entry-first node of every ray, so it marches out column c of
+        One sweep with n_space right-hand sides: column c holds the weight w at
+        the c-th entry-first node of every ray, so it marches out column c of
         every ray's block at once. Up-ray blocks are then reversed in both
         indices.
         """
         n_rays, n_space = self.dtau.shape
         nodes = np.arange(n_space)
         cols = np.zeros((n_space, n_rays, n_space), order="F")  # (node, ray, column)
-        cols[nodes, :, nodes] = self.dtau.T
+        cols[nodes, :, nodes] = self.band[0].reshape(n_rays, n_space).T
         _kernels.sweep(self.band, cols.reshape(n_rays * n_space, n_space, order="F"))
         d = self.n_down
         out = np.empty((n_rays, n_space, n_space))

@@ -244,6 +244,14 @@ class TestSpectrum:
                      "--dense-cap", "500", "--out", str(tmp_path)])
         assert code == 1
 
+    def test_core_path_caps_the_core_not_n(self, tmp_path):
+        # N = 24000 is over the default cap of 20000, the coherent core is 1000 x 1000
+        code = main(["spectrum", "--preset", "coherent", "--ns", "50", "--nomega", "24",
+                     "--nnu", "20", "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "spectrum.json").read_text())
+        assert (report["n_total"], report["reduced_dim"]) == (24000, 1000)
+
 
 class TestTable:
     def test_mono_grid_rows(self, tmp_path):
@@ -263,6 +271,15 @@ class TestTable:
         assert code == 0
         _, rows = read_csv(tmp_path / "table.csv")
         assert len(rows) == 1
+
+    def test_core_cells_skipped_by_core_size(self, tmp_path, capsys):
+        # both cells have N = 960 > 500; coherent cores are 80 and 800 wide
+        code = main(["table", "--preset", "coherent", "--ns", "10", "--nomega", "12",
+                     "--nnu", "8,80", "--dense-cap", "500", "--out", str(tmp_path)])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "table.csv")
+        assert [r[2] for r in rows] == ["8"]
+        assert "nnu=80" in capsys.readouterr().err
 
 
 

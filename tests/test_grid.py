@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from rtkrylov.grid import FieldVector, Grid, Ordering, build_grid, delta_tau, permute
+from rtkrylov.grid import FieldVector, Grid, Ordering, build_grid, permute
+
+
+def delta_tau(grid, ray, interval):
+    # optical-depth increment phi(nu) * (t_{i+1} - t_i) / |mu| of one ray over
+    # the 0-based interval i: the oracle for Grid.delta_tau_table
+    dt = grid.t_nodes[interval + 1] - grid.t_nodes[interval]
+    return float(np.asarray(grid.profile(ray.nu), dtype=float)) * dt / abs(ray.mu)
 
 
 def lorentzian(nu):

@@ -189,7 +189,7 @@ class TestTraceRays:
     def test_all_nodes_inside_domain(self, unit_grid_8):
         for k in range(unit_grid_8.n_rays):
             family = trace_rays(unit_grid_8, unit_grid_8.directions[k])
-            pts = family.all_nodes()
+            pts = family.nodes
             assert np.all(pts[:, 0] >= unit_grid_8.x0 - 1e-12)
             assert np.all(pts[:, 0] <= unit_grid_8.x1 + 1e-12)
             assert np.all(pts[:, 1] >= unit_grid_8.y0 - 1e-12)
@@ -261,7 +261,7 @@ class TestInterpolators:
         c2r, _ = build_interpolators(family, unit_grid_8)
         field = unit_grid_8.node_xy[:, 0]  # f(x, y) = x
         at_nodes = c2r.matrix @ field
-        np.testing.assert_allclose(at_nodes, family.all_nodes()[:, 0], atol=1e-13)
+        np.testing.assert_allclose(at_nodes, family.nodes[:, 0], atol=1e-13)
 
     def test_axis_aligned_selection(self, unit_grid_4):
         family = trace_rays(unit_grid_4, (1.0, 0.0))
@@ -276,7 +276,7 @@ class TestInterpolators:
         for direction in grid.directions:
             family = trace_rays(grid, direction)
             pair = build_interpolators(family, grid)
-            for got, ref in zip(pair, loop_interpolators(family.all_nodes(), grid)):
+            for got, ref in zip(pair, loop_interpolators(family.nodes, grid)):
                 assert_csr_identical(got.matrix, ref)
 
     def test_coverage_error_for_sparse_family(self, unit_grid_8):
@@ -347,17 +347,25 @@ class TestTransfer2D:
                                        rtol=1e-12, atol=1e-13)
 
     def test_lines_independent(self, unit_grid_8):
-        # one family, constant source: each line reproduces its own 1D solution
+        # one family, constant source: each line reproduces its own 1D solution,
+        # the scaled recursion acc = r * acc + w * 1 run along that line alone
         op = build_transfer_2d(unit_grid_8, chi=0.9)
         first, last = op.offsets[3], op.offsets[4]
         dtau, lines = op.dtau[first:last], op.families[3].node_offsets
         from rtkrylov import _kernels
 
-        swept = _kernels.sweep(op.band[:, first:last], dtau.copy())  # unit source
+        r, w = 1.0 / (1.0 + dtau), dtau / (1.0 + dtau)
+        swept = _kernels.sweep(op.band[:, first:last], w.copy())  # unit source
         for l in range(lines.size - 1):
             a, b = lines[l], lines[l + 1]
-            expected = lower_block(dtau[a + 1:b]) @ np.ones(b - a)
-            np.testing.assert_allclose(swept[a:b], expected, rtol=1e-13, atol=1e-15)
+            expected = np.zeros(b - a)
+            for i in range(1, b - a):
+                expected[i] = r[a + i] * expected[i - 1] + w[a + i]
+            # a fused or unfused multiply-add: under 2 ulps of the largest value per step
+            np.testing.assert_allclose(swept[a:b], expected, rtol=0,
+                                       atol=2 * (b - a) * np.finfo(float).eps * expected.max())
+            np.testing.assert_allclose(swept[a:b], lower_block(dtau[a + 1:b]) @ np.ones(b - a),
+                                       rtol=1e-13, atol=1e-15)
 
 
 class TestProblem2D:

@@ -1,9 +1,10 @@
 """Property tests on random small configurations of every preset.
 
 The matrix-free applies and the scattering strength bound are checked
-against their dense materializations, the Krylov solvers against the true
-residual, the 1D spectra against the dense eigensolve, and the 2D build
-against its per-line loop reference. Examples are drawn deterministically
+against their dense materializations, the strength bound's shortcut for
+nonnegative factors against its blocked path, the Krylov solvers against
+the true residual, the 1D spectra against the dense eigensolve, and the 2D
+build against its per-line loop reference. Examples are drawn deterministically
 (derandomize=True), so every run checks the same cases.
 """
 
@@ -17,7 +18,13 @@ from rtkrylov import presets
 from rtkrylov.multidim import CartesianGrid2D
 from rtkrylov.krylov import SolveConfig, solve_system
 from rtkrylov.operator import apply_A, materialize_A
-from rtkrylov.scattering import ScatteringStrengthWarning, _strength_bound, materialize_scattering
+from rtkrylov.scattering import (
+    ScatteringStrengthWarning,
+    _row_sums_blocked,
+    _row_sums_nonnegative,
+    _strength_bound,
+    materialize_scattering,
+)
 from rtkrylov.spectrum import compute_spectrum
 
 from conftest import assert_matches_dense_spectrum
@@ -84,6 +91,24 @@ def test_strength_bound_is_scattering_infinity_norm(case):
     p, _ = case
     dense = np.abs(materialize_scattering(p.scattering)).sum(axis=1).max()
     np.testing.assert_allclose(_strength_bound(p.scattering), dense, rtol=1e-12, atol=0)
+
+
+@st.composite
+def nonnegative_factors(draw):
+    # (P^T, d, w) with no negative entry; a share of exact zeros, as in the
+    # coherent kernel's frequency indicators
+    n_rays, r = draw(st.integers(1, 64)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pt = rng.uniform(0.0, 2.0, (r, n_rays))
+    pt[rng.random(pt.shape) < draw(st.floats(0.0, 0.9))] = 0.0
+    return pt, rng.uniform(0.0, 2.0, r), rng.uniform(0.0, 1.0, n_rays)
+
+
+@PROPERTY
+@given(nonnegative_factors())
+def test_nonnegative_row_sums_match_blocked_path(factor):
+    np.testing.assert_allclose(_row_sums_nonnegative(*factor), _row_sums_blocked(*factor),
+                               rtol=1e-15, atol=0)
 
 
 @st.composite

@@ -115,6 +115,15 @@ class TestComputeSpectrum:
         with pytest.raises(ResourceLimitError):
             compute_spectrum(p, dense_cap=100)
 
+    def test_core_path_caps_core_and_ray_blocks(self):
+        # crd (20,8,10): N = 1600, core k = 20, ray blocks 80 * 20^2 = 32000 entries
+        p = presets.crd(20, 8, 10)
+        assert compute_spectrum(p, dense_cap=179).reduced_dim == 20  # 179^2 = 32041
+        with pytest.raises(ResourceLimitError):
+            compute_spectrum(p, dense_cap=178)  # 178^2 = 31684 < 32000
+        with pytest.raises(ResourceLimitError):
+            compute_spectrum(presets.coherent(20, 8, 10), dense_cap=190)  # k = 200
+
 
 class TestClusteringTrend:
     def test_identity_sequence_trivially_consistent(self):

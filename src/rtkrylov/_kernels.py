@@ -54,6 +54,11 @@ def band(dtau: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return ab
 
 
+def weights(ab: np.ndarray) -> np.ndarray:
+    """The source weights w = dtau / (1 + dtau) stored in a band (a view)."""
+    return ab[0]
+
+
 def sweep(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the marching system in place and return rhs.
 

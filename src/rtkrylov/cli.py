@@ -26,7 +26,7 @@ from rtkrylov import presets
 from rtkrylov.errors import DENSE_CAP_DEFAULT, NumericalError, ResourceLimitError
 from rtkrylov.krylov import SolveConfig, solve_system
 from rtkrylov.operator import apply_A, build_rhs
-from rtkrylov.spectrum import compute_spectrum
+from rtkrylov.spectrum import check_spectrum_size, compute_spectrum
 
 SCHEMA_VERSION = 1
 _G = "%.17g"
@@ -53,7 +53,7 @@ _TYPED_FLAGS = {
     "max_iter": (int, "iteration limit"),
     "gamma_scale": (float, "factor on the scattering coefficient"),
     "dense_cap": (int, "largest matrix a spectrum forms: N x N on the dense path, "
-                       "the k x k core and at most cap^2 ray-block entries on the core path"),
+                       "at most cap^2 entries per array on the core path"),
     "out": (str, "output directory"),
 }
 
@@ -254,10 +254,12 @@ def _run_table(cfg: dict, out_dir: Path) -> int:
     for ns, nom, nnu in itertools.product(_int_list(cfg["ns"]), _int_list(cfg["nomega"]),
                                           nnu_list):
         try:
-            rep = compute_spectrum(_problem_from(cfg, ns, nom, nnu), dense_cap=cfg["dense_cap"])
+            check_spectrum_size(ns * nom * nnu, ns, nom * nnu,
+                                presets.kernel_rank(cfg["preset"], nnu), cfg["dense_cap"])
         except ResourceLimitError as exc:
             print(f"skipping cell ns={ns} nomega={nom} nnu={nnu}: {exc}", file=sys.stderr)
             continue
+        rep = compute_spectrum(_problem_from(cfg, ns, nom, nnu), dense_cap=cfg["dense_cap"])
         rows.append([str(ns), str(nom), str(nnu), str(rep.n),
                      _fmt(rep.cluster_fraction_one_sided),
                      _fmt(rep.cluster_fraction),

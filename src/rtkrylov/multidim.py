@@ -275,7 +275,7 @@ class TransferOperator2D:
         out = np.empty_like(mat)
         for k, (pair, a, b) in self._slices():
             rhs = pair.cart_to_ray.matrix @ np.ascontiguousarray(mat[:, k])
-            rhs *= self.band[0, a:b]  # the weights w, see _kernels.band
+            rhs *= _kernels.weights(self.band)[a:b]
             out[:, k] = pair.ray_to_cart.matrix @ _kernels.sweep(self.band[:, a:b], rhs)
         return out.ravel()
 
@@ -294,9 +294,14 @@ class TransferOperator2D:
         out = np.empty((self.grid.n_rays, self.grid.n_space, self.grid.n_space))
         for k, (pair, a, b) in self._slices():
             cols = pair.cart_to_ray.matrix.toarray(order="F")
-            cols *= self.band[0, a:b, None]
+            cols *= _kernels.weights(self.band)[a:b, None]
             out[k] = pair.ray_to_cart.matrix @ _kernels.sweep(self.band[:, a:b], cols)
         return out
+
+    @property
+    def ray_blocks_scratch(self) -> int:
+        """Entries of the largest temporary of ray_blocks: line nodes by n_space."""
+        return max(fam.n_nodes for fam in self.families) * self.grid.n_space
 
     def materialize(self, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
         n = self.n_total

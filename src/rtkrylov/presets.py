@@ -86,6 +86,17 @@ def crd(n_space: int, n_angles: int, n_freq: int, gamma_scale: float = 1.0) -> R
     return _isotropic_line_problem("crd", n_space, n_angles, n_freq, gamma_scale)
 
 
+def kernel_rank(preset: str, n_freq: int = 1) -> int:
+    """Rank r of the preset's kernel factor, known before the problem is built."""
+    if preset in ("mono", "aniso2d"):
+        return len(LEGENDRE_L7)
+    if preset == "coherent":
+        return n_freq
+    if preset == "crd":
+        return 1
+    raise ValueError(f"unknown preset {preset!r}")
+
+
 def build(preset: str, **params) -> RTProblem:
     """Dispatch a preset by name (mono, coherent, crd, aniso2d)."""
     if preset == "mono":

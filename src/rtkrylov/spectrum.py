@@ -45,26 +45,43 @@ class SpectrumReport:
         return self.eigenvalues.size
 
 
+def check_spectrum_size(n_total: int, n_space: int, n_rays: int, rank: int,
+                        dense_cap: int = DENSE_CAP_DEFAULT, scratch: int = 0) -> bool:
+    """Whether a spectrum of this shape runs on the core; raise past dense_cap.
+
+    The core has size k = n_space * rank. When k < n_total every array the
+    core path forms holds at most dense_cap^2 entries: the k x k core, the
+    n_rays * n_space^2 ray blocks, the n_rays * rank^2 kernel products and
+    scratch, the transfer's largest ray-block temporary. Otherwise the dense
+    n_total x n_total operator is formed and n_total <= dense_cap.
+    """
+    k = n_space * rank
+    if k >= n_total:
+        if n_total > dense_cap:
+            raise ResourceLimitError(f"spectrum of size {n_total} exceeds cap {dense_cap}")
+        return False
+    largest = max(k * k, n_rays * n_space**2, n_rays * rank**2, scratch)
+    if largest > dense_cap**2:
+        raise ResourceLimitError(
+            f"spectrum core of size {k} forms an array of {largest} entries "
+            f"({n_rays} rays, {n_space} space nodes, kernel rank {rank}), "
+            f"over cap {dense_cap} squared")
+    return True
+
+
 def compute_spectrum(problem: RTProblem, dense_cap: int = DENSE_CAP_DEFAULT,
                      eps_values: Sequence[float] = DEFAULT_EPS_VALUES) -> SpectrumReport:
     """Full spectrum of the global operator plus diagnostics.
 
-    dense_cap bounds what is formed: the n x n operator on the dense path;
-    the k x k core and the n_rays * n_space^2 entries of the ray blocks (at
-    most dense_cap^2) on the core path. Raises ResourceLimitError past it
-    and NumericalError when the eigensolver does not converge.
+    dense_cap bounds what is formed (see check_spectrum_size). Raises
+    ResourceLimitError past it and NumericalError when the eigensolver does
+    not converge.
     """
     g = problem.grid
-    k = g.n_space * problem.scattering.d.size
-    core = None
-    if k < problem.n_total:
-        if k > dense_cap or g.n_rays * g.n_space**2 > dense_cap**2:
-            raise ResourceLimitError(
-                f"spectrum core of size {k} with {g.n_rays} ray blocks of size {g.n_space} "
-                f"exceeds cap {dense_cap}")
-        core = _scattering_core(problem)
-    elif problem.n_total > dense_cap:
-        raise ResourceLimitError(f"spectrum of size {problem.n_total} exceeds cap {dense_cap}")
+    on_core = check_spectrum_size(problem.n_total, g.n_space, g.n_rays,
+                                  problem.scattering.d.size, dense_cap,
+                                  problem.transfer.ray_blocks_scratch)
+    core = _scattering_core(problem) if on_core else None
     try:
         if core is None:
             eigenvalues = np.linalg.eigvals(materialize_A(problem, dense_cap=dense_cap))

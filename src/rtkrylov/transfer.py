@@ -84,7 +84,7 @@ class TransferOperator:
         rhs = np.empty_like(self.dtau)
         rhs[:d] = mat[:, :d].T
         rhs[d:] = mat[::-1, d:].T
-        rhs *= self.band[0].reshape(self.dtau.shape)  # the weights w, see _kernels.band
+        rhs *= _kernels.weights(self.band).reshape(self.dtau.shape)
         _kernels.sweep(self.band, rhs.reshape(-1))
         return self._to_space_major(rhs)
 
@@ -103,13 +103,18 @@ class TransferOperator:
         n_rays, n_space = self.dtau.shape
         nodes = np.arange(n_space)
         cols = np.zeros((n_space, n_rays, n_space), order="F")  # (node, ray, column)
-        cols[nodes, :, nodes] = self.band[0].reshape(n_rays, n_space).T
+        cols[nodes, :, nodes] = _kernels.weights(self.band).reshape(n_rays, n_space).T
         _kernels.sweep(self.band, cols.reshape(n_rays * n_space, n_space, order="F"))
         d = self.n_down
         out = np.empty((n_rays, n_space, n_space))
         out[:d] = cols[:, :d].transpose(1, 0, 2)
         out[d:] = cols[::-1, d:, ::-1].transpose(1, 0, 2)
         return out
+
+    @property
+    def ray_blocks_scratch(self) -> int:
+        """Entries of the largest temporary of ray_blocks: as many as its result."""
+        return self.dtau.size * self.grid.n_space
 
     def materialize(self, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
         return materialize_transfer(self, dense_cap)

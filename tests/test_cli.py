@@ -272,10 +272,15 @@ class TestTable:
         _, rows = read_csv(tmp_path / "table.csv")
         assert len(rows) == 1
 
-    def test_core_cells_skipped_by_core_size(self, tmp_path, capsys):
-        # both cells have N = 960 > 500; coherent cores are 80 and 800 wide
+    def test_core_cells_skipped_by_core_size(self, tmp_path, capsys, monkeypatch):
+        # N = 960 and 9600, both over 500; coherent cores are 80 and 800 wide
+        built = []
+        build = presets.build
+        monkeypatch.setattr(presets, "build",
+                            lambda preset, **kw: built.append(kw) or build(preset, **kw))
         code = main(["table", "--preset", "coherent", "--ns", "10", "--nomega", "12",
                      "--nnu", "8,80", "--dense-cap", "500", "--out", str(tmp_path)])
+        assert [kw["n_freq"] for kw in built] == [8]  # the skipped cell is never built
         assert code == 0
         _, rows = read_csv(tmp_path / "table.csv")
         assert [r[2] for r in rows] == ["8"]

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 
 from rtkrylov import presets
 from rtkrylov.errors import NumericalError, ResourceLimitError
-from rtkrylov.multidim import TransferOperator2D
+from rtkrylov.multidim import TransferOperator2D, build_transfer_2d
 from rtkrylov.operator import materialize_A
 from rtkrylov.scattering import build_scattering, materialize_scattering
-from rtkrylov.spectrum import clustering_trend, compute_spectrum
+from rtkrylov.spectrum import check_spectrum_size, clustering_trend, compute_spectrum
 from rtkrylov.transfer import TransferOperator
 
 from conftest import assert_matches_dense_spectrum
@@ -123,6 +124,37 @@ class TestComputeSpectrum:
             compute_spectrum(p, dense_cap=178)  # 178^2 = 31684 < 32000
         with pytest.raises(ResourceLimitError):
             compute_spectrum(presets.coherent(20, 8, 10), dense_cap=190)  # k = 200
+
+    def test_core_path_caps_kernel_products(self):
+        # coherent (2,2,40): N = 160, k = 80, ray blocks 80 * 2^2 = 320 entries,
+        # kernel products 80 rays * 40^2 = 128000 entries > 100^2
+        p = presets.coherent(2, 2, 40)
+        with pytest.raises(ResourceLimitError, match="128000"):
+            compute_spectrum(p, dense_cap=100)
+        assert compute_spectrum(p, dense_cap=358).reduced_dim == 80  # 358^2 = 128164
+
+    def test_core_path_caps_2d_line_scratch(self):
+        # aniso2d (4,4,12): k = 128 = the cap, ray blocks 12 * 16^2 = 3072 entries;
+        # default lines give 352 scratch entries, node_step 1e-3 gives 68000 > 128^2
+        p = presets.build("aniso2d", n_x=4, n_y=4, n_angles=12)
+        assert compute_spectrum(p, dense_cap=128).reduced_dim == 128
+        fine = dataclasses.replace(p, transfer=build_transfer_2d(p.grid, node_step=1e-3))
+        with pytest.raises(ResourceLimitError, match="68000"):
+            compute_spectrum(fine, dense_cap=128)
+
+    @pytest.mark.parametrize("preset,params", [
+        ("mono", dict(n_space=6, n_angles=12, n_freq=1)),
+        ("coherent", dict(n_space=5, n_angles=4, n_freq=6)),
+        ("crd", dict(n_space=5, n_angles=4, n_freq=6)),
+        ("aniso2d", dict(n_x=3, n_y=3, n_angles=10)),
+    ])
+    def test_kernel_rank_matches_built_problem(self, preset, params):
+        p = presets.build(preset, **params)
+        r = presets.kernel_rank(preset, params.get("n_freq", 1))
+        assert r == p.scattering.d.size
+        g = p.grid
+        on_core = check_spectrum_size(p.n_total, g.n_space, g.n_rays, r)
+        assert on_core == (g.n_space * r < p.n_total)
 
 
 class TestClusteringTrend:

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -217,7 +218,10 @@ def _run_solve(cfg: dict, out_dir: Path) -> int:
         "converged": bool(report.converged),
         "breakdown": bool(report.breakdown),
         "iterations": int(report.iterations),
-        "true_residual": report.true_residual,
+        # a map that returned inf or nan leaves a true residual JSON cannot hold
+        "true_residual": (report.true_residual
+                          if report.true_residual is not None
+                          and math.isfinite(report.true_residual) else None),
         "residual_history": [float(r) for r in report.residual_history],
     })
     if not report.converged:

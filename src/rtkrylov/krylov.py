@@ -2,7 +2,20 @@
 
 Both solvers take a callable v -> A v, start from the zero initial guess, and
 report the full residual history. Recurrence residuals are cross-checked
-against the true residual on convergence to guard against drift.
+against the true residual on convergence to guard against drift. A scalar
+that is not finite (the map returned inf or nan) stops either solver as a
+breakdown with the last finite iterate.
+
+The Gram-Schmidt subtraction, the iterate combination and the BiCGStab
+vector updates run in place through BLAS daxpy, on arrays the solver
+allocated itself. The solver never writes into b or into an array apply
+returned: it copies an apply result before changing it or reading it after
+the next apply (GMRES each one, BiCGStab A p), so apply may return its input,
+a view, another float dtype or one buffer it overwrites on every call.
+daxpy may fuse the multiply-add, which the out-of-place form rounds twice;
+whether it does depends on the CPU. Iteration counts match the out-of-place
+form and solutions agree with it within 64 eps of the largest entry
+(at most 2.7 eps measured on the presets, 4 eps on random dense systems).
 """
 
 from __future__ import annotations
@@ -12,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 _BREAKDOWN_EPS = 1e-30
 _ARNOLDI_BREAKDOWN = 1e-14
@@ -52,6 +66,11 @@ def _trivial_report(method: str, n: int) -> SolveReport:
     )
 
 
+def _usable(value: float) -> bool:
+    """A divisor magnitude in [1e-30, inf): nan fails too, unlike |value| < 1e-30."""
+    return _BREAKDOWN_EPS <= abs(value) < math.inf
+
+
 def gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
           cfg: SolveConfig) -> SolveReport:
     """GMRES with modified Gram-Schmidt Arnoldi and Givens least squares.
@@ -61,6 +80,8 @@ def gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     space; the least-squares solution is then exact (converged by breakdown).
     A zero rotated Hessenberg diagonal means the map is singular on the
     Krylov space: the last iterate is returned as a non-converged breakdown.
+    So is a diagonal that is not finite, which every inf or nan of the
+    Arnoldi step reaches.
     """
     b = np.asarray(b, dtype=float)
     n = b.size
@@ -96,11 +117,12 @@ def gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
             col = np.empty(j + 2)
             for i in range(j + 1):
                 col[i] = float(np.dot(basis[i], w))
-                w -= col[i] * basis[i]
+                daxpy(basis[i], w, a=-col[i])
             col[j + 1] = float(np.linalg.norm(w))
             breakdown = col[j + 1] < _ARNOLDI_BREAKDOWN * b_norm
             if not breakdown:
-                basis.append(w / col[j + 1])
+                w /= col[j + 1]
+                basis.append(w)
 
             # apply stored rotations, then build the new one
             for i in range(j):
@@ -109,11 +131,14 @@ def gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
                 col[i] = tmp
             denom = np.hypot(col[j], col[j + 1])
             total_iters += 1
-            if denom == 0.0:
+            if not 0.0 < denom < math.inf:  # singular, or an inf or nan reached it
                 if j:
-                    x = x + _combine(basis, _solve_upper(h_cols, g[:j]))
+                    x += _combine(basis, _solve_upper(h_cols, g[:j]))
                 true_rel = float(np.linalg.norm(b - apply(x))) / b_norm
-                history.append(true_rel)
+                if math.isfinite(true_rel):
+                    history.append(true_rel)
+                elif not history:  # no step done: x is the zero guess, its residual b
+                    history.append(1.0)
                 return SolveReport(
                     solution=x, iterations=total_iters, residual_history=history,
                     converged=False, method="gmres", breakdown=True,
@@ -154,7 +179,7 @@ def gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
 
         # cycle exhausted: form the iterate and restart
         y = _solve_upper(h_cols, g[:j])
-        x = x + _combine(basis, y)
+        x += _combine(basis, y)
         r = b - apply(x)
 
     true_rel = float(np.linalg.norm(r)) / b_norm
@@ -177,9 +202,10 @@ def _solve_upper(h_cols, g):
 
 
 def _combine(basis, y):
+    """sum_i y[i] basis[i] in a new array."""
     out = y[0] * basis[0]
     for i in range(1, y.size):
-        out += y[i] * basis[i]
+        daxpy(basis[i], out, a=y[i])
     return out
 
 
@@ -188,8 +214,10 @@ def bicgstab(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     """BiCGStab with shadow residual fixed to the initial residual.
 
     The residual history records one entry per full step (two applications
-    of the map). A rho or omega magnitude below 1e-30 stops the recurrence
-    with the breakdown flag set.
+    of the map). A rho, r_shadow.v, t.t or omega magnitude below 1e-30 stops
+    the recurrence with the breakdown flag set, and so does any of them or a
+    recurrence residual that is not finite; x then holds the last finite
+    iterate.
     """
     b = np.asarray(b, dtype=float)
     n = b.size
@@ -198,11 +226,11 @@ def bicgstab(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         return _trivial_report("bicgstab", n)
 
     x = np.zeros(n)
-    r = b.copy()
-    r_shadow = r.copy()
+    r = b.copy()  # within a step it holds s = r - alpha v, then the next r
+    r_shadow = b.copy()
+    p = np.empty(n)
+    v = np.empty(n)  # A p, copied: it is read again after the map's next apply
     rho_prev = alpha = omega = 1.0
-    v = np.zeros(n)
-    p = np.zeros(n)
     history: list = []
     breakdown = False
     converged = False
@@ -210,41 +238,50 @@ def bicgstab(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     it = 0
     while it < cfg.max_iter:
         rho = float(np.dot(r_shadow, r))
-        if abs(rho) < _BREAKDOWN_EPS:
+        if not _usable(rho):
             breakdown = True
             break
         if it == 0:
-            p = r.copy()
-        else:
+            np.copyto(p, r)
+        else:  # p = r + beta (p - omega v)
             beta = (rho / rho_prev) * (alpha / omega)
-            p = r + beta * (p - omega * v)
-        v = apply(p)
+            daxpy(v, p, a=-omega)
+            p *= beta
+            p += r
+        np.copyto(v, apply(p))
         denom = float(np.dot(r_shadow, v))
-        if abs(denom) < _BREAKDOWN_EPS:
+        if not _usable(denom):
             breakdown = True
             break
         alpha = rho / denom
-        s = r - alpha * v
+        daxpy(v, r, a=-alpha)  # r holds s = r - alpha v
         it += 1
-        s_norm = float(np.linalg.norm(s))
-        if s_norm / b_norm <= cfg.rel_tol:
-            x = x + alpha * p
-            history.append(s_norm / b_norm)
+        s_rel = float(np.linalg.norm(r)) / b_norm
+        if not math.isfinite(s_rel):
+            breakdown = True
+            break
+        if s_rel <= cfg.rel_tol:
+            daxpy(p, x, a=alpha)
+            history.append(s_rel)
             converged = True
             break
-        t = apply(s)
+        t = apply(r)
         tt = float(np.dot(t, t))
-        if tt < _BREAKDOWN_EPS:
+        if not _usable(tt):
             breakdown = True
             break
-        omega = float(np.dot(t, s)) / tt
-        if abs(omega) < _BREAKDOWN_EPS:
+        omega = float(np.dot(t, r)) / tt
+        if not _usable(omega):
             breakdown = True
             break
-        x = x + alpha * p + omega * s
-        r = s - omega * t
+        daxpy(p, x, a=alpha)  # x + alpha p + omega s
+        daxpy(r, x, a=omega)
+        daxpy(t, r, a=-omega)  # r = s - omega t
         rho_prev = rho
         rel = float(np.linalg.norm(r)) / b_norm
+        if not math.isfinite(rel):
+            breakdown = True
+            break
         history.append(rel)
         if rel <= cfg.rel_tol:
             converged = True
@@ -253,8 +290,8 @@ def bicgstab(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     true_rel = float(np.linalg.norm(b - apply(x))) / b_norm
     if converged:
         converged = true_rel <= _TRUE_RESIDUAL_SLACK * cfg.rel_tol
-    if not history:
-        history.append(true_rel)
+    if not history:  # no step done: x is the zero guess, its residual b
+        history.append(1.0)
     return SolveReport(
         solution=x, iterations=it, residual_history=history,
         converged=converged, method="bicgstab", breakdown=breakdown,

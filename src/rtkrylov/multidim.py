@@ -268,6 +268,7 @@ class TransferOperator2D:
         return enumerate(zip(self.blocks, self.offsets[:-1], self.offsets[1:]))
 
     def apply_space_major(self, v: np.ndarray) -> np.ndarray:
+        """Homogeneous transfer of a space-major vector, as a new array."""
         v = np.asarray(v, dtype=float)
         if v.size != self.n_total:
             raise ValueError(f"expected length {self.n_total}, got {v.size}")

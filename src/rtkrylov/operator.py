@@ -49,7 +49,8 @@ def apply_A(problem: RTProblem, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.size != problem.n_total:
         raise ValueError(f"expected length {problem.n_total}, got {v.size}")
-    return v - problem.transfer.apply_space_major(apply_scattering(problem.scattering, v))
+    out = problem.transfer.apply_space_major(apply_scattering(problem.scattering, v))
+    return np.subtract(v, out, out=out)  # the transfer's result is a fresh array
 
 
 def build_rhs(problem: RTProblem, override_ones: bool = False) -> np.ndarray:

@@ -164,7 +164,9 @@ def apply_scattering(op: ScatteringOperator, field: np.ndarray) -> np.ndarray:
     # (W P)^T is stored row-major and read through its transpose: a row-major
     # W P makes BLAS sum in another order and moves the last bits of the result
     moments = values.reshape(op.grid.n_space, op.grid.n_rays) @ op.wpt.T  # (n_space, r)
-    return (op.gamma_table * ((moments * op.d) @ op.pt)).ravel()
+    out = (moments * op.d) @ op.pt
+    out *= op.gamma_table
+    return out.ravel()
 
 
 def materialize_scattering(op: ScatteringOperator, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:

@@ -73,18 +73,19 @@ class TransferOperator:
     def apply_space_major(self, source: np.ndarray) -> np.ndarray:
         """Apply the homogeneous part (no boundary term) of the transfer operator.
 
-        source and result are space-major; the sweep runs on an entry-first
-        copy that holds one contiguous run per ray.
+        source and result are space-major, the result a new array; the sweep
+        runs on an entry-first array that holds one contiguous run per ray,
+        weighted as it is gathered.
         """
         values = np.asarray(source, dtype=float)
         if values.size != self.n_total:
             raise ValueError(f"expected length {self.n_total}, got {values.size}")
         mat = values.reshape(self.grid.n_space, self.grid.n_rays)
+        w = _kernels.weights(self.band).reshape(self.dtau.shape)
         d = self.n_down
         rhs = np.empty_like(self.dtau)
-        rhs[:d] = mat[:, :d].T
-        rhs[d:] = mat[::-1, d:].T
-        rhs *= _kernels.weights(self.band).reshape(self.dtau.shape)
+        np.multiply(mat[:, :d].T, w[:d], out=rhs[:d])
+        np.multiply(mat[::-1, d:].T, w[d:], out=rhs[d:])
         _kernels.sweep(self.band, rhs.reshape(-1))
         return self._to_space_major(rhs)
 

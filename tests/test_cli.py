@@ -15,6 +15,15 @@ def load_schema():
         return json.load(fh)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def read_report(path):
+    """report.json parsed as strict JSON: NaN and Infinity are rejected."""
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
 def read_csv(path):
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
@@ -94,6 +103,33 @@ class TestSolve:
         assert code == 0
         header, rows = read_csv(tmp_path / "solution.csv")
         assert len(rows) == 30 * 4  # flag wins over config file
+
+    @pytest.mark.filterwarnings("ignore")
+    @pytest.mark.parametrize("solver", ["gmres", "bicgstab"])
+    def test_overflowing_map_stops_as_breakdown(self, tmp_path, solver):
+        # the first A apply overflows: both solvers stop at once with the zero
+        # guess instead of iterating on nan to the limit
+        code = main(["solve", "--preset", "mono", "--ns", "20", "--nomega", "8",
+                     "--gamma-scale", "1e308", "--solver", solver, "--out", str(tmp_path)])
+        assert code == 2
+        report = read_report(tmp_path / "report.json")
+        jsonschema.validate(report, load_schema())
+        assert report["breakdown"] is True and report["converged"] is False
+        assert report["iterations"] <= 1
+        assert report["residual_history"] == [1.0]
+        header, rows = read_csv(tmp_path / "solution.csv")
+        assert {float(r[3]) for r in rows} == {0.0}
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_non_finite_true_residual_written_as_null(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "apply_A", lambda problem, v: v * np.nan)
+        code = main(["solve", "--preset", "mono", "--ns", "10", "--nomega", "4",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        report = read_report(tmp_path / "report.json")
+        jsonschema.validate(report, load_schema())
+        assert report["true_residual"] is None
+        assert report["breakdown"] is True
 
     def test_non_finite_strength_exit_code(self, tmp_path):
         assert main(["solve", "--preset", "mono", "--ns", "10", "--nomega", "4",

@@ -1,7 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
-from rtkrylov.krylov import SolveConfig, bicgstab, gmres, solve_system
+from rtkrylov import presets
+from rtkrylov.krylov import (
+    _ARNOLDI_BREAKDOWN,
+    _BREAKDOWN_EPS,
+    _TRUE_RESIDUAL_SLACK,
+    SolveConfig,
+    SolveReport,
+    _solve_upper,
+    _trivial_report,
+    bicgstab,
+    gmres,
+    solve_system,
+)
+from rtkrylov.operator import apply_A, build_rhs
 
 
 def dense_apply(a):
@@ -12,6 +27,211 @@ def random_well_conditioned(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) / np.sqrt(n) + 2.0 * np.eye(n)
     return a, rng.standard_normal(n)
+
+
+# The solvers with out-of-place vector updates: the reference for the in-place
+# ones, whose BLAS daxpy may fuse the multiply-add. The two must take the same
+# iterations and agree within REFERENCE_TOL of the largest solution entry,
+# fixed from float64 eps; whether daxpy fuses varies by CPU.
+REFERENCE_TOL = 64 * np.finfo(float).eps
+
+
+def reference_gmres(apply, b, cfg):
+    """krylov.gmres with out-of-place vector updates."""
+    b = np.asarray(b, dtype=float)
+    n = b.size
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return _trivial_report("gmres", n)
+
+    history: list = []
+    x = np.zeros(n)
+    r = b.copy()
+    total_iters = 0
+    cycle = cfg.restart if cfg.restart is not None else cfg.max_iter
+
+    while total_iters < cfg.max_iter:
+        beta = float(np.linalg.norm(r))
+        if beta / b_norm <= cfg.rel_tol:  # restart landed on the solution
+            history.append(beta / b_norm)
+            return SolveReport(
+                solution=x, iterations=max(total_iters, 1), residual_history=history,
+                converged=True, method="gmres", true_residual=beta / b_norm,
+            )
+        basis = [r / beta]
+        h_cols: list = []          # rotated Hessenberg columns (upper triangular)
+        cos: list = []
+        sin: list = []
+        g = [beta]                 # rotated right-hand side
+        breakdown = False
+
+        steps = min(cycle, cfg.max_iter - total_iters)
+        j = 0
+        while j < steps:
+            w = np.array(apply(basis[j]), dtype=float)  # copy: MGS mutates w
+            col = np.empty(j + 2)
+            for i in range(j + 1):
+                col[i] = float(np.dot(basis[i], w))
+                w -= col[i] * basis[i]
+            col[j + 1] = float(np.linalg.norm(w))
+            breakdown = col[j + 1] < _ARNOLDI_BREAKDOWN * b_norm
+            if not breakdown:
+                basis.append(w / col[j + 1])
+
+            # apply stored rotations, then build the new one
+            for i in range(j):
+                tmp = cos[i] * col[i] + sin[i] * col[i + 1]
+                col[i + 1] = -sin[i] * col[i] + cos[i] * col[i + 1]
+                col[i] = tmp
+            denom = np.hypot(col[j], col[j + 1])
+            total_iters += 1
+            if denom == 0.0:
+                if j:
+                    x = x + _reference_combine(basis, _solve_upper(h_cols, g[:j]))
+                true_rel = float(np.linalg.norm(b - apply(x))) / b_norm
+                history.append(true_rel)
+                return SolveReport(
+                    solution=x, iterations=total_iters, residual_history=history,
+                    converged=False, method="gmres", breakdown=True,
+                    true_residual=true_rel,
+                )
+            cj = col[j] / denom
+            sj = col[j + 1] / denom
+            cos.append(cj)
+            sin.append(sj)
+            col[j] = denom
+            h_cols.append(col[: j + 1].copy())
+            g.append(-sj * g[j])
+            g[j] = cj * g[j]
+
+            j += 1
+            rel = abs(g[j]) / b_norm
+            history.append(rel)
+
+            if rel <= cfg.rel_tol or breakdown:
+                y = _solve_upper(h_cols, g[:j])
+                candidate = x + _reference_combine(basis, y)
+                true_rel = float(np.linalg.norm(b - apply(candidate))) / b_norm
+                if true_rel <= _TRUE_RESIDUAL_SLACK * cfg.rel_tol:
+                    if breakdown:
+                        history[-1] = true_rel
+                    return SolveReport(
+                        solution=candidate, iterations=total_iters,
+                        residual_history=history, converged=True, method="gmres",
+                        breakdown=breakdown, true_residual=true_rel,
+                    )
+                if breakdown:
+                    # stalled with drifted residual: report honestly
+                    return SolveReport(
+                        solution=candidate, iterations=total_iters,
+                        residual_history=history, converged=False, method="gmres",
+                        breakdown=True, true_residual=true_rel,
+                    )
+
+        # cycle exhausted: form the iterate and restart
+        y = _solve_upper(h_cols, g[:j])
+        x = x + _reference_combine(basis, y)
+        r = b - apply(x)
+
+    true_rel = float(np.linalg.norm(r)) / b_norm
+    return SolveReport(
+        solution=x, iterations=total_iters, residual_history=history,
+        converged=False, method="gmres", true_residual=true_rel,
+    )
+
+
+def _reference_combine(basis, y):
+    out = y[0] * basis[0]
+    for i in range(1, y.size):
+        out += y[i] * basis[i]
+    return out
+
+
+def reference_bicgstab(apply, b, cfg):
+    """krylov.bicgstab with out-of-place vector updates."""
+    b = np.asarray(b, dtype=float)
+    n = b.size
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return _trivial_report("bicgstab", n)
+
+    x = np.zeros(n)
+    r = b.copy()
+    r_shadow = r.copy()
+    rho_prev = alpha = omega = 1.0
+    v = np.zeros(n)
+    p = np.zeros(n)
+    history: list = []
+    breakdown = False
+    converged = False
+
+    it = 0
+    while it < cfg.max_iter:
+        rho = float(np.dot(r_shadow, r))
+        if abs(rho) < _BREAKDOWN_EPS:
+            breakdown = True
+            break
+        if it == 0:
+            p = r.copy()
+        else:
+            beta = (rho / rho_prev) * (alpha / omega)
+            p = r + beta * (p - omega * v)
+        v = apply(p)
+        denom = float(np.dot(r_shadow, v))
+        if abs(denom) < _BREAKDOWN_EPS:
+            breakdown = True
+            break
+        alpha = rho / denom
+        s = r - alpha * v
+        it += 1
+        s_norm = float(np.linalg.norm(s))
+        if s_norm / b_norm <= cfg.rel_tol:
+            x = x + alpha * p
+            history.append(s_norm / b_norm)
+            converged = True
+            break
+        t = apply(s)
+        tt = float(np.dot(t, t))
+        if tt < _BREAKDOWN_EPS:
+            breakdown = True
+            break
+        omega = float(np.dot(t, s)) / tt
+        if abs(omega) < _BREAKDOWN_EPS:
+            breakdown = True
+            break
+        x = x + alpha * p + omega * s
+        r = s - omega * t
+        rho_prev = rho
+        rel = float(np.linalg.norm(r)) / b_norm
+        history.append(rel)
+        if rel <= cfg.rel_tol:
+            converged = True
+            break
+
+    true_rel = float(np.linalg.norm(b - apply(x))) / b_norm
+    if converged:
+        converged = true_rel <= _TRUE_RESIDUAL_SLACK * cfg.rel_tol
+    if not history:
+        history.append(true_rel)
+    return SolveReport(
+        solution=x, iterations=it, residual_history=history,
+        converged=converged, method="bicgstab", breakdown=breakdown,
+        true_residual=true_rel,
+    )
+
+
+def assert_same_solution(x, ref, tol=REFERENCE_TOL):
+    assert np.max(np.abs(x - ref)) <= tol * np.max(np.abs(ref))
+
+
+def assert_matches_reference(rep, ref, tol=REFERENCE_TOL):
+    assert (rep.iterations, rep.converged, rep.breakdown) == \
+        (ref.iterations, ref.converged, ref.breakdown)
+    assert len(rep.residual_history) == len(ref.residual_history)
+    assert_same_solution(rep.solution, ref.solution, tol)
+
+
+SOLVERS = [(gmres, reference_gmres), (bicgstab, reference_bicgstab)]
 
 
 class TestGMRES:
@@ -165,6 +385,165 @@ class TestOnOperatorPresets:
         assert rep_g.converged and rep_b.converged
         assert rep_b.iterations <= 2 * rep_g.iterations
         np.testing.assert_allclose(rep_b.solution, rep_g.solution, rtol=1e-9)
+
+
+SMALL_PRESETS = [
+    ("crd", dict(n_space=20, n_angles=8, n_freq=5)),
+    ("coherent", dict(n_space=20, n_angles=8, n_freq=5)),
+    ("mono", dict(n_space=40, n_angles=12)),
+    ("aniso2d", dict(n_x=6, n_y=6, n_angles=8)),
+]
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("restart", [None, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gmres_dense(self, seed, restart):
+        a, b = random_well_conditioned(50, seed)
+        cfg = SolveConfig(rel_tol=1e-13, max_iter=100, restart=restart)
+        assert_matches_reference(gmres(dense_apply(a), b, cfg),
+                                 reference_gmres(dense_apply(a), b, cfg))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bicgstab_dense(self, seed):
+        a, b = random_well_conditioned(50, seed)
+        cfg = SolveConfig(rel_tol=1e-12, max_iter=300)
+        assert_matches_reference(bicgstab(dense_apply(a), b, cfg),
+                                 reference_bicgstab(dense_apply(a), b, cfg))
+
+    @pytest.mark.parametrize("name,params", SMALL_PRESETS)
+    @pytest.mark.parametrize("solver,reference,restart", [
+        (gmres, reference_gmres, None),
+        (gmres, reference_gmres, 5),
+        (bicgstab, reference_bicgstab, None),
+    ])
+    def test_presets(self, name, params, solver, reference, restart):
+        problem = presets.build(name, **params)
+        b = build_rhs(problem, override_ones=name == "aniso2d")
+        cfg = SolveConfig(rel_tol=1e-12, restart=restart)
+        rep = solver(lambda v: apply_A(problem, v), b, cfg)
+        assert rep.converged
+        assert_matches_reference(rep, reference(lambda v: apply_A(problem, v), b, cfg))
+
+
+class Recorder:
+    """Wraps an apply and keeps each array it returned with a copy of its values.
+
+    check() asserts that the solver wrote into none of them.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.returned = {}
+
+    def __call__(self, v):
+        self.check()
+        out = self.fn(v)
+        self.returned[id(out)] = (out, out.copy())
+        return out
+
+    def check(self):
+        for out, values in self.returned.values():
+            np.testing.assert_array_equal(out, values)
+
+
+def aliasing_applies(a):
+    """Factories of apply callables whose results the solver must not write into."""
+    def stored():
+        buf = np.empty(a.shape[0])
+        return lambda v: np.matmul(a, v, out=buf)
+
+    return {
+        "float32": lambda: lambda v: (a @ v).astype(np.float32),
+        "strided": lambda: lambda v: np.repeat(a @ v, 2)[::2],
+        "stored": stored,
+    }
+
+
+class TestAliasing:
+    """The in-place updates write only into arrays the solver allocated. daxpy
+    updates y in place only when it is contiguous float64; otherwise f2py
+    silently works on a copy and the solver would go wrong."""
+
+    @pytest.mark.parametrize("kind", ["float32", "strided", "stored"])
+    @pytest.mark.parametrize("solver,reference,restart", [
+        (gmres, reference_gmres, None),
+        (gmres, reference_gmres, 3),
+        (bicgstab, reference_bicgstab, None),
+    ])
+    def test_apply_results_and_b_untouched(self, solver, reference, restart, kind):
+        a, b = random_well_conditioned(30, 40)
+        b_values = b.copy()
+        make = aliasing_applies(a)[kind]
+        apply = Recorder(make())
+        cfg = SolveConfig(rel_tol=1e-6, max_iter=60, restart=restart)
+        rep = solver(apply, b, cfg)
+        apply.check()
+        np.testing.assert_array_equal(b, b_values)
+        # the reference gets a copy of each result: its BiCGStab reads A p after
+        # the next apply, which has overwritten a stored buffer by then. A
+        # float32 result rounds where a last-bit change of its input can tip
+        # it, so the bound follows the dtype the map returns.
+        ref_apply = make()
+        ref = reference(lambda v: np.array(ref_apply(v)), b, cfg)
+        assert_matches_reference(rep, ref, tol=64 * np.finfo(ref_apply(b).dtype).eps)
+
+    @pytest.mark.parametrize("solver,reference", SOLVERS)
+    def test_identity_returns_its_input(self, solver, reference):
+        # lambda v: v hands back the solver's own vector, which it may update
+        # once done with it; b must stay as given
+        b = np.array([1.0, -2.0, 3.0, 0.5])
+        b_values = b.copy()
+        rep = solver(lambda v: v, b, SolveConfig())
+        np.testing.assert_array_equal(b, b_values)
+        assert rep.converged
+        assert_matches_reference(rep, reference(lambda v: v, b, SolveConfig()))
+
+
+class TestNonFinite:
+    """An inf or nan from the map stops the solver at once as a breakdown,
+    keeping the last finite iterate and only finite history entries."""
+
+    @pytest.mark.parametrize("solver", [gmres, bicgstab])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_map_stops_at_once(self, solver, value):
+        calls = []
+
+        def apply(v):
+            calls.append(1)
+            return v * value
+
+        with np.errstate(invalid="ignore"):
+            rep = solver(apply, np.ones(3), SolveConfig())
+        assert rep.breakdown and not rep.converged
+        assert rep.iterations <= 1
+        assert len(calls) <= 2  # the failing step and the true residual
+        np.testing.assert_array_equal(rep.solution, np.zeros(3))
+        assert rep.residual_history == [1.0]  # the zero guess: its residual is b
+
+    @pytest.mark.parametrize("solver,reference,finite_applies", [
+        (gmres, reference_gmres, 3),
+        (bicgstab, reference_bicgstab, 2),
+    ])
+    def test_keeps_last_finite_iterate(self, solver, reference, finite_applies):
+        # the map turns nan after finite_applies calls: GMRES after three
+        # Arnoldi steps, BiCGStab after one full step
+        a, b = random_well_conditioned(20, 41)
+        calls = []
+
+        def apply(v):
+            calls.append(1)
+            return a @ v if len(calls) <= finite_applies else np.full_like(v, np.nan)
+
+        rep = solver(apply, b, SolveConfig(rel_tol=1e-14))
+        assert rep.breakdown and not rep.converged
+        assert all(math.isfinite(h) for h in rep.residual_history)
+        steps = 3 if solver is gmres else 1
+        assert len(rep.residual_history) == steps
+        assert rep.iterations == steps + (solver is gmres)  # GMRES counts the failed step
+        last = reference(dense_apply(a), b, SolveConfig(rel_tol=1e-14, max_iter=steps))
+        assert last.iterations == steps
+        assert_same_solution(rep.solution, last.solution)
 
 
 class TestSolveSystem:

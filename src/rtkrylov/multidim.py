@@ -10,11 +10,22 @@ to one). The composed per-direction operator is
 cartesian -> lines -> transfer -> cartesian. A family's lines are built, and
 a callable opacity chi(x, y) or inflow(x, y) is evaluated, on whole arrays
 of points at once.
+
+The build traces each direction's family and builds its interpolators on a
+thread pool sized to the cores the process may run on (cKDTree releases the
+GIL while it builds and queries); chi and inflow are still called once, on
+the caller's thread, over the nodes of every direction. The applies are
+single-threaded: the banded sweep holds the GIL (two half-band sweeps on two
+threads took 0.85 ms against 0.80 ms for one sweep on crd 200x24x50), and
+the 24 small CSR products of a 2D apply took 0.64 ms on two threads against
+0.27 ms serially (aniso2d 48x48x24; 2 cores, one BLAS thread).
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -322,6 +333,13 @@ class TransferOperator2D:
         return out
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_transfer_2d(grid: CartesianGrid2D, chi: Union[float, Callable] = 1.0,
                       inflow: Union[float, Callable] = 0.0,
                       spacing: Optional[float] = None,
@@ -333,12 +351,19 @@ def build_transfer_2d(grid: CartesianGrid2D, chi: Union[float, Callable] = 1.0,
     at each line's entry point (scalar or inflow(x, y)). A callable is given
     arrays of x and y and returns one value per point. A non-finite
     optical-depth increment or boundary intensity is rejected with ValueError.
+    The directions are traced and interpolated on a thread pool; an error in
+    one of them is raised here unchanged, once every worker has stopped.
     """
     chi_fn = chi if callable(chi) else (lambda x, y: float(chi))
     inflow_fn = inflow if callable(inflow) else (lambda x, y: float(inflow))
 
-    families = [trace_rays(grid, d, spacing, node_step) for d in grid.directions]
-    blocks = [build_interpolators(fam, grid) for fam in families]
+    def direction(d):
+        # through the module globals, so a wrapper installed on them sees every call
+        family = trace_rays(grid, d, spacing, node_step)
+        return family, build_interpolators(family, grid)
+
+    with ThreadPoolExecutor(min(_usable_cores(), grid.n_angles)) as pool:
+        families, blocks = map(list, zip(*pool.map(direction, grid.directions)))
     # all directions' lines end to end; the terms bridging two lines are reset
     bases = np.cumsum([0] + [fam.n_nodes for fam in families])
     starts = np.concatenate([fam.node_offsets[:-1] + b for fam, b in zip(families, bases)])

@@ -1,11 +1,14 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
-from rtkrylov import _kernels
+from rtkrylov import _kernels, multidim
 from rtkrylov.errors import CoverageError
 from rtkrylov.krylov import SolveConfig, gmres
 from rtkrylov.multidim import (
@@ -366,6 +369,64 @@ class TestTransfer2D:
                                        atol=2 * (b - a) * np.finfo(float).eps * expected.max())
             np.testing.assert_allclose(swept[a:b], lower_block(dtau[a + 1:b]) @ np.ones(b - a),
                                        rtol=1e-13, atol=1e-15)
+
+
+class TestThreadedBuild:
+    """The directions are built on a thread pool; the result must not show it."""
+
+    def test_without_affinity_sized_from_cpu_count(self, monkeypatch):
+        # macOS and Windows have no sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert multidim._usable_cores() == (os.cpu_count() or 1)
+        assert_build_matches_loops(CartesianGrid2D(16, 16, 12))
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert multidim._usable_cores() == 1
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"spacing": 10.0}, CoverageError, "ray family too sparse"),
+        ({"node_step": math.nan}, ValueError, "spacing and node_step must be positive and finite"),
+    ])
+    def test_worker_error_raised_unchanged(self, unit_grid_8, kwargs, error, message):
+        threads = threading.active_count()
+        with pytest.raises(error, match=message) as info:
+            build_transfer_2d(unit_grid_8, **kwargs)
+        assert info.type is error
+        assert threading.active_count() == threads
+
+    def test_concurrent_builds_match_sequential(self):
+        grid = CartesianGrid2D(24, 24, 16)
+        ref = build_transfer_2d(grid)
+        start = threading.Barrier(2, timeout=60)
+        results, errors = [None, None], []
+
+        def build(i):
+            try:
+                start.wait()
+                results[i] = build_transfer_2d(grid)
+            except Exception as exc:  # reported by the main thread below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for op in results:
+            for fam, pair, ref_fam, ref_pair in zip(op.families, op.blocks,
+                                                     ref.families, ref.blocks, strict=True):
+                for attr in ("direction", "nodes", "node_offsets", "entries", "lengths"):
+                    assert_identical(getattr(fam, attr), getattr(ref_fam, attr))
+                for got, want in zip(pair, ref_pair, strict=True):
+                    assert_csr_identical(got.matrix, want.matrix)
+            for attr in ("dtau", "band", "boundary", "offsets"):
+                assert_identical(getattr(op, attr), getattr(ref, attr))
 
 
 class TestProblem2D:

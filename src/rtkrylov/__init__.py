@@ -11,7 +11,7 @@ strongly the eigenvalues of A cluster at one under grid refinement.
 
 __version__ = "0.1.0"
 
-from rtkrylov.quadrature import QuadratureRule, gauss_legendre, legendre_eval, trapezoid
+from rtkrylov.quadrature import QuadratureRule, gauss_legendre, trapezoid
 from rtkrylov.grid import FieldVector, Grid, Ordering, build_grid, permute
 from rtkrylov.errors import CoverageError, DENSE_CAP_DEFAULT, NumericalError, ResourceLimitError
 from rtkrylov.transfer import TransferOperator, build_transfer, materialize_transfer
@@ -44,7 +44,7 @@ from rtkrylov.multidim import (
 from rtkrylov import presets
 
 __all__ = [
-    "QuadratureRule", "gauss_legendre", "legendre_eval", "trapezoid",
+    "QuadratureRule", "gauss_legendre", "trapezoid",
     "FieldVector", "Grid", "Ordering", "build_grid", "permute",
     "CoverageError", "DENSE_CAP_DEFAULT", "NumericalError", "ResourceLimitError",
     "TransferOperator", "build_transfer", "materialize_transfer",

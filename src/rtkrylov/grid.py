@@ -33,10 +33,6 @@ class Ray:
     frequency_weight: float
     index: int  # 1-based position in the ray ordering
 
-    @property
-    def combined_weight(self) -> float:
-        return self.angular_weight * self.frequency_weight
-
 
 @dataclass
 class FieldVector:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -66,8 +66,9 @@ class CartesianGrid2D:
         self.hx = (self.x1 - self.x0) / (n_x - 1)
         self.hy = (self.y1 - self.y0) / (n_y - 1)
         # offset keeps directions away from exact lattice degeneracies by default
-        self.azimuths = 2.0 * math.pi * (np.arange(n_angles) + 0.5) / n_angles
-        self.directions = np.column_stack([np.cos(self.azimuths), np.sin(self.azimuths)])
+        azimuths = 2.0 * math.pi * (np.arange(n_angles) + 0.5) / n_angles
+        self.ray_mu = np.cos(azimuths)
+        self.directions = np.column_stack([self.ray_mu, np.sin(azimuths)])
 
         self.n_space = n_x * n_y
         self.n_rays = n_angles
@@ -76,13 +77,10 @@ class CartesianGrid2D:
         xg, yg = np.meshgrid(self.x_nodes, self.y_nodes, indexing="ij")
         self.node_xy = np.column_stack([xg.ravel(), yg.ravel()])
 
-        self.ray_mu = np.cos(self.azimuths)
         self.ray_nu = np.zeros(n_angles)
         self.nu_nodes = np.zeros(1)
         self.frequency_weights = np.ones(1)
-        self.ray_frequency_weight = np.ones(n_angles)
-        self.angular_weights = np.full(n_angles, 2.0 * math.pi / n_angles)
-        self.combined_weights = self.angular_weights.copy()
+        self.combined_weights = np.full(n_angles, 2.0 * math.pi / n_angles)
 
     def sample_coefficient(self, fn) -> np.ndarray:
         """Evaluate fn(x, y, mu, nu) on the node-by-direction product."""
@@ -109,7 +107,6 @@ class RayFamily:
     """Parallel lines of one direction, stored flat: line l owns nodes
     node_offsets[l]:node_offsets[l + 1], entry first."""
 
-    direction: np.ndarray
     nodes: np.ndarray         # (n_nodes, 2) Cartesian coordinates of every line node
     node_offsets: np.ndarray  # (n_lines + 1,) line starts in nodes
     entries: np.ndarray       # (n_lines, 2) boundary point where each line enters
@@ -180,8 +177,7 @@ def trace_rays(grid: CartesianGrid2D, direction, spacing: Optional[float] = None
     arc = (np.arange(node_offsets[-1]) - node_offsets[line]) * (lengths / (counts - 1))[line]
     arc[node_offsets[1:] - 1] = lengths
     nodes = entries[line] + arc[:, None] * d
-    return RayFamily(direction=d, nodes=nodes, node_offsets=node_offsets,
-                     entries=entries, lengths=lengths)
+    return RayFamily(nodes=nodes, node_offsets=node_offsets, entries=entries, lengths=lengths)
 
 
 @dataclass
@@ -265,11 +261,7 @@ class TransferOperator2D:
     dtau: np.ndarray          # increment entering each line node, 0 at line entries
     band: np.ndarray          # marching matrix of all lines, see _kernels.band
     boundary: np.ndarray      # attenuated inflow on the line nodes, swept at build time
-    offsets: np.ndarray = field(init=False)  # (n_rays + 1,) direction starts
-
-    def __post_init__(self):
-        counts = [fam.n_nodes for fam in self.families]
-        self.offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    offsets: np.ndarray       # (n_rays + 1,) direction starts
 
     @property
     def n_total(self) -> int:
@@ -365,8 +357,8 @@ def build_transfer_2d(grid: CartesianGrid2D, chi: Union[float, Callable] = 1.0,
     with ThreadPoolExecutor(min(_usable_cores(), grid.n_angles)) as pool:
         families, blocks = map(list, zip(*pool.map(direction, grid.directions)))
     # all directions' lines end to end; the terms bridging two lines are reset
-    bases = np.cumsum([0] + [fam.n_nodes for fam in families])
-    starts = np.concatenate([fam.node_offsets[:-1] + b for fam, b in zip(families, bases)])
+    offsets = np.cumsum([0] + [fam.n_nodes for fam in families])
+    starts = np.concatenate([fam.node_offsets[:-1] + b for fam, b in zip(families, offsets)])
     nodes = np.concatenate([fam.nodes for fam in families])
     entries = np.concatenate([fam.entries for fam in families])
     mids = 0.5 * (nodes[1:] + nodes[:-1])
@@ -380,10 +372,10 @@ def build_transfer_2d(grid: CartesianGrid2D, chi: Union[float, Callable] = 1.0,
     boundary[starts] = np.asarray(inflow_fn(entries[:, 0], entries[:, 1]), dtype=float)
     if not np.all(np.isfinite(boundary)):
         raise ValueError("boundary intensities must be finite")
-    band = _kernels.band(dtau, np.append(starts, bases[-1]))
+    band = _kernels.band(dtau, np.append(starts, offsets[-1]))
     return TransferOperator2D(
         grid=grid, families=families, blocks=blocks, dtau=dtau, band=band,
-        boundary=_kernels.sweep(band, boundary),
+        boundary=_kernels.sweep(band, boundary), offsets=offsets,
     )
 
 
@@ -404,11 +396,6 @@ def anisotropic_2d(n_x: int, n_y: int, n_angles: int, gamma_scale: float = 1.0,
 
     kernel = LegendreKernel(coefficients if coefficients is not None else LEGENDRE_L7)
     scattering = build_scattering(grid, kernel, gamma)
-    return RTProblem(
-        grid=grid, transfer=transfer, scattering=scattering,
-        thermal=np.zeros(grid.n_total),
-        descriptor={"preset": "aniso2d", "kernel": "legendre",
-                    "n_x": n_x, "n_y": n_y, "n_angles": n_angles,
-                    "n_space": grid.n_space, "n_freq": 1},
-    )
+    return RTProblem(grid=grid, transfer=transfer, scattering=scattering,
+                     thermal=np.zeros(grid.n_total))
 

@@ -7,21 +7,14 @@ and direct-solve oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from rtkrylov.errors import DENSE_CAP_DEFAULT, ResourceLimitError
 from rtkrylov.scattering import ScatteringOperator, apply_scattering, psi_matrix
 
-__all__ = [
-    "DENSE_CAP_DEFAULT",
-    "ResourceLimitError",
-    "RTProblem",
-    "apply_A",
-    "build_rhs",
-    "materialize_A",
-]
+__all__ = ["RTProblem", "apply_A", "build_rhs", "materialize_A"]
 
 
 @dataclass
@@ -32,7 +25,6 @@ class RTProblem:
     transfer: object             # transfer operator (1D per-ray or 2D composed)
     scattering: ScatteringOperator
     thermal: np.ndarray  # space-major source epsilon_t / chi
-    descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.thermal = np.asarray(self.thermal, dtype=float)

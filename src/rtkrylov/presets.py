@@ -36,54 +36,38 @@ def lorentzian_profile(nu):
     return 1.0 / (np.pi * (np.asarray(nu, dtype=float) ** 2 + 1.0))
 
 
-def monochromatic(n_space: int, n_angles: int, gamma_scale: float = 1.0,
-                  coefficients=LEGENDRE_L7) -> RTProblem:
-    """Single-frequency slab with the anisotropic Legendre kernel."""
-    grid = build_grid(n_space, n_angles, 1, 0.0, 1.0)
-    transfer = build_transfer(grid, i_in_deep=1.0, i_in_surf=0.0)
-
-    def gamma(t, mu, nu):
-        return (gamma_scale * STRENGTH_CAL * ANGULAR_MEAN
-                * 0.5 * (1.0 - t) * np.ones_like(mu + nu))
-
-    scattering = build_scattering(grid, LegendreKernel(coefficients), gamma)
-    return RTProblem(
-        grid=grid, transfer=transfer, scattering=scattering,
-        thermal=np.zeros(grid.n_total),
-        descriptor={"preset": "mono", "kernel": "legendre",
-                    "n_space": n_space, "n_angles": n_angles, "n_freq": 1},
-    )
-
-
-def _isotropic_line_problem(kind: str, n_space: int, n_angles: int, n_freq: int,
-                            gamma_scale: float) -> RTProblem:
+def _slab(kernel, n_space: int, n_angles: int, n_freq: int, gamma_scale: float,
+          profile=None) -> RTProblem:
+    """The unit slab with inflow 1 from depth, scattering with one kernel and profile."""
     grid = build_grid(n_space, n_angles, n_freq, 0.0, 1.0,
-                      f_lo=FREQ_LO, f_hi=FREQ_HI, profile=lorentzian_profile)
+                      f_lo=FREQ_LO, f_hi=FREQ_HI, profile=profile)
     transfer = build_transfer(grid, i_in_deep=1.0, i_in_surf=0.0)
 
     def gamma(t, mu, nu):
-        # gamma * phi(nu) = (1 - t) / 2, times the quadrature normalization
-        return (gamma_scale * STRENGTH_CAL * ANGULAR_MEAN
-                * 0.5 * (1.0 - t) / lorentzian_profile(nu) * np.ones_like(mu))
+        # gamma * phi(nu) = (1 - t) / 2, times the quadrature normalization; a
+        # column over t by a row over rays, so no broadcast to full size is needed
+        return gamma_scale * STRENGTH_CAL * ANGULAR_MEAN * 0.5 * (1.0 - t) / grid.profile(nu)
 
-    kernel = CoherentKernel(lorentzian_profile) if kind == "coherent" else CRDKernel(lorentzian_profile)
-    scattering = build_scattering(grid, kernel, gamma)
-    return RTProblem(
-        grid=grid, transfer=transfer, scattering=scattering,
-        thermal=np.zeros(grid.n_total),
-        descriptor={"preset": kind, "kernel": kind,
-                    "n_space": n_space, "n_angles": n_angles, "n_freq": n_freq},
-    )
+    return RTProblem(grid=grid, transfer=transfer,
+                     scattering=build_scattering(grid, kernel, gamma),
+                     thermal=np.zeros(grid.n_total))
+
+
+def monochromatic(n_space: int, n_angles: int, gamma_scale: float = 1.0) -> RTProblem:
+    """Single-frequency slab with the anisotropic Legendre kernel."""
+    return _slab(LegendreKernel(LEGENDRE_L7), n_space, n_angles, 1, gamma_scale)
 
 
 def coherent(n_space: int, n_angles: int, n_freq: int, gamma_scale: float = 1.0) -> RTProblem:
     """Isotropic scattering with no frequency redistribution."""
-    return _isotropic_line_problem("coherent", n_space, n_angles, n_freq, gamma_scale)
+    return _slab(CoherentKernel(lorentzian_profile), n_space, n_angles, n_freq, gamma_scale,
+                 lorentzian_profile)
 
 
 def crd(n_space: int, n_angles: int, n_freq: int, gamma_scale: float = 1.0) -> RTProblem:
     """Isotropic scattering with complete frequency redistribution."""
-    return _isotropic_line_problem("crd", n_space, n_angles, n_freq, gamma_scale)
+    return _slab(CRDKernel(lorentzian_profile), n_space, n_angles, n_freq, gamma_scale,
+                 lorentzian_profile)
 
 
 def kernel_rank(preset: str, n_freq: int = 1) -> int:

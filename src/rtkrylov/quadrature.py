@@ -24,26 +24,12 @@ class QuadratureRule:
     interval: tuple[float, float]
 
 
-def legendre_eval(l: int, x):
-    """Evaluate the Legendre polynomial P_l at x (scalar or array, |x| <= 1).
+def legendre_basis(l_max: int, x: np.ndarray) -> np.ndarray:
+    """Stack P_0(x) .. P_{l_max}(x) into an array of shape (l_max+1, len(x)).
 
     Uses the three-term Bonnet recurrence
     (l+1) P_{l+1}(x) = (2l+1) x P_l(x) - l P_{l-1}(x).
     """
-    if l < 0:
-        raise ValueError(f"Legendre order must be nonnegative, got {l}")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if l == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = x.copy()
-    for k in range(1, l):
-        p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
-    return p if p.ndim else float(p)
-
-
-def legendre_basis(l_max: int, x: np.ndarray) -> np.ndarray:
-    """Stack P_0(x) .. P_{l_max}(x) into an array of shape (l_max+1, len(x))."""
     x = np.asarray(x, dtype=float)
     out = np.empty((l_max + 1, x.size))
     out[0] = 1.0
@@ -55,11 +41,8 @@ def legendre_basis(l_max: int, x: np.ndarray) -> np.ndarray:
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray):
-    """P_n(x) and P_n'(x) via the Bonnet recurrence, for interior x."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for k in range(1, n):
-        p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
+    """P_n(x) and P_n'(x) for interior x and n >= 1."""
+    p_prev, p = legendre_basis(n, x)[-2:]
     dp = n * (x * p - p_prev) / (x * x - 1.0)
     return p, dp
 

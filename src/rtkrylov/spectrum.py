@@ -18,7 +18,7 @@ the symmetric count is the one comparable with the reference tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from rtkrylov.operator import RTProblem, materialize_A
 
 DEFAULT_EPS_VALUES = (0.01, 0.05, 0.1, 0.15)
 _ONE_SIDED_GUARD = 1e-12
+_TREND_FLUCTUATION = 2  # outlier counts may rise this much along a refinement sequence
 
 
 @dataclass
@@ -38,7 +39,6 @@ class SpectrumReport:
     min_modulus: float
     outlier_counts: dict           # eps -> #{|lambda - 1| > eps}
     reduced_dim: int               # size of the matrix handed to the eigensolver
-    descriptor: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -53,8 +53,11 @@ def check_spectrum_size(n_total: int, n_space: int, n_rays: int, rank: int,
     core path forms holds at most dense_cap^2 entries: the k x k core, the
     n_rays * n_space^2 ray blocks, the n_rays * rank^2 kernel products and
     scratch, the transfer's largest ray-block temporary. Otherwise the dense
-    n_total x n_total operator is formed and n_total <= dense_cap.
+    n_total x n_total operator is formed and n_total <= dense_cap. A cap
+    below one is rejected with ValueError.
     """
+    if dense_cap < 1:
+        raise ValueError(f"dense_cap must be at least 1, got {dense_cap}")
     k = n_space * rank
     if k >= n_total:
         if n_total > dense_cap:
@@ -94,8 +97,6 @@ def compute_spectrum(problem: RTProblem, dense_cap: int = DENSE_CAP_DEFAULT,
     modulus = np.abs(eigenvalues)
     distance = np.abs(eigenvalues - 1.0)
     n = eigenvalues.size
-    descriptor = dict(problem.descriptor)
-    descriptor.update({"n_total": n})
     return SpectrumReport(
         eigenvalues=eigenvalues,
         cluster_fraction=float(np.mean((modulus >= 0.999) & (modulus <= 1.001))),
@@ -105,7 +106,6 @@ def compute_spectrum(problem: RTProblem, dense_cap: int = DENSE_CAP_DEFAULT,
         min_modulus=float(modulus.min()),
         outlier_counts={float(e): int(np.sum(distance > e)) for e in eps_values},
         reduced_dim=n if core is None else core.shape[0],
-        descriptor=descriptor,
     )
 
 
@@ -134,12 +134,11 @@ class TrendSummary:
     strong_cluster_consistent: bool
 
 
-def clustering_trend(reports: Sequence[SpectrumReport],
-                     fluctuation: int = 2) -> TrendSummary:
+def clustering_trend(reports: Sequence[SpectrumReport]) -> TrendSummary:
     """Outlier-count trend along a refinement sequence.
 
     The sequence is called consistent with a strong cluster when no count
-    rises more than `fluctuation` above any earlier value at the same eps.
+    rises more than _TREND_FLUCTUATION above any earlier value at the same eps.
     """
     if len(reports) < 2:
         raise ValueError("need at least two reports to assess a trend")
@@ -152,7 +151,7 @@ def clustering_trend(reports: Sequence[SpectrumReport],
     for series in counts.values():
         running_min = series[0]
         for c in series[1:]:
-            if c > running_min + fluctuation:
+            if c > running_min + _TREND_FLUCTUATION:
                 consistent = False
             running_min = min(running_min, c)
     return TrendSummary(

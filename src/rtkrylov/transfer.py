@@ -37,10 +37,8 @@ def lower_block(dtau: np.ndarray) -> np.ndarray:
 
 
 def _per_frequency_values(grid: Grid, value) -> np.ndarray:
-    """Expand a boundary specification (scalar, per-frequency array, or callable
-    of nu) to one value per ray."""
-    if callable(value):
-        return np.asarray(value(grid.ray_nu), dtype=float) * np.ones(grid.n_rays)
+    """Expand a boundary specification (scalar or per-frequency array) to one
+    value per ray."""
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
         return np.full(grid.n_rays, float(arr))

@@ -280,6 +280,15 @@ class TestSpectrum:
                      "--dense-cap", "500", "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("cap", ["0", "-100"])
+    @pytest.mark.parametrize("nomega", ["4", "12"])  # dense path (k >= N), core path
+    def test_cap_below_one_is_config_error(self, tmp_path, capsys, cap, nomega):
+        code = main(["spectrum", "--preset", "mono", "--ns", "10", "--nomega", nomega,
+                     "--dense-cap", cap, "--out", str(tmp_path)])
+        assert code == 1
+        assert "dense_cap must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.json").exists()
+
     def test_core_path_caps_the_core_not_n(self, tmp_path):
         # N = 24000 is over the default cap of 20000, the coherent core is 1000 x 1000
         code = main(["spectrum", "--preset", "coherent", "--ns", "50", "--nomega", "24",
@@ -307,6 +316,18 @@ class TestTable:
         assert code == 0
         _, rows = read_csv(tmp_path / "table.csv")
         assert len(rows) == 1
+
+    def test_cap_below_one_is_config_error(self, tmp_path, capsys, monkeypatch):
+        built = []
+        build = presets.build
+        monkeypatch.setattr(presets, "build",
+                            lambda preset, **kw: built.append(kw) or build(preset, **kw))
+        code = main(["table", "--preset", "mono", "--ns", "10", "--nomega", "4,12",
+                     "--dense-cap", "-100", "--out", str(tmp_path)])
+        assert code == 1
+        assert built == []  # no cell is computed
+        assert "dense_cap must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "table.csv").exists()
 
     def test_core_cells_skipped_by_core_size(self, tmp_path, capsys, monkeypatch):
         # N = 960 and 9600, both over 500; coherent cores are 80 and 800 wide

@@ -421,7 +421,7 @@ class TestThreadedBuild:
         for op in results:
             for fam, pair, ref_fam, ref_pair in zip(op.families, op.blocks,
                                                      ref.families, ref.blocks, strict=True):
-                for attr in ("direction", "nodes", "node_offsets", "entries", "lengths"):
+                for attr in ("nodes", "node_offsets", "entries", "lengths"):
                     assert_identical(getattr(fam, attr), getattr(ref_fam, attr))
                 for got, want in zip(pair, ref_pair, strict=True):
                     assert_csr_identical(got.matrix, want.matrix)

@@ -5,7 +5,9 @@ import pytest
 
 from rtkrylov import presets
 from rtkrylov.errors import ResourceLimitError
+from rtkrylov.grid import build_grid
 from rtkrylov.operator import apply_A, build_rhs, materialize_A
+from rtkrylov.scattering import CoherentKernel, CRDKernel, LegendreKernel, build_scattering
 from rtkrylov.transfer import build_transfer
 
 
@@ -152,3 +154,43 @@ class TestMaterializeA:
         with pytest.raises(ResourceLimitError):
             materialize_A(p, dense_cap=500)
 
+
+def two_builder_slab(kind, n_space, n_angles, n_freq=1, gamma_scale=1.0):
+    """(grid, transfer, scattering) as built by separate mono and line-kernel
+    builders, the form the presets had before one builder served all three."""
+    cal, mean = presets.STRENGTH_CAL, presets.ANGULAR_MEAN
+    if kind == "mono":
+        grid = build_grid(n_space, n_angles, 1, 0.0, 1.0)
+
+        def gamma(t, mu, nu):
+            return (gamma_scale * cal * mean
+                    * 0.5 * (1.0 - t) * np.ones_like(mu + nu))
+
+        kernel = LegendreKernel(presets.LEGENDRE_L7)
+    else:
+        profile = presets.lorentzian_profile
+        grid = build_grid(n_space, n_angles, n_freq, 0.0, 1.0,
+                          f_lo=presets.FREQ_LO, f_hi=presets.FREQ_HI, profile=profile)
+
+        def gamma(t, mu, nu):
+            return (gamma_scale * cal * mean
+                    * 0.5 * (1.0 - t) / profile(nu) * np.ones_like(mu))
+
+        kernel = CoherentKernel(profile) if kind == "coherent" else CRDKernel(profile)
+    transfer = build_transfer(grid, i_in_deep=1.0, i_in_surf=0.0)
+    return grid, transfer, build_scattering(grid, kernel, gamma)
+
+
+class TestSlabPresets:
+    @pytest.mark.parametrize("kind,args", [("mono", (12, 8)), ("coherent", (6, 4, 7)),
+                                           ("crd", (6, 4, 7))])
+    @pytest.mark.parametrize("gamma_scale", [1.0, 0.3])
+    def test_bit_identical_to_two_builder_reference(self, kind, args, gamma_scale):
+        build = {"mono": presets.monochromatic, "coherent": presets.coherent,
+                 "crd": presets.crd}[kind]
+        p = build(*args, gamma_scale=gamma_scale)
+        grid, transfer, scattering = two_builder_slab(kind, *args, gamma_scale=gamma_scale)
+        assert np.array_equal(p.grid.ray_nu, grid.ray_nu)
+        assert np.array_equal(p.scattering.gamma_table, scattering.gamma_table)
+        assert np.array_equal(p.transfer.band, transfer.band)
+        assert np.array_equal(p.transfer.boundary, transfer.boundary)

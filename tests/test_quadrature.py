@@ -3,12 +3,41 @@ import math
 import numpy as np
 import pytest
 
-from rtkrylov.quadrature import QuadratureRule, gauss_legendre, legendre_eval, trapezoid
+from rtkrylov.quadrature import QuadratureRule, gauss_legendre, legendre_basis, trapezoid
 
 
 def analytic_monomial_moment(k, lo=-1.0, hi=1.0):
     # exact integral of x^k on [lo, hi]
     return (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+
+
+def two_recurrence_gauss_legendre(n, lo, hi):
+    """Reference rule whose Newton step runs its own Bonnet recurrence (the
+    form the library had before it read P_{n-1} and P_n off legendre_basis)."""
+    def p_and_dp(x):
+        p_prev = np.ones_like(x)
+        p = x.copy()
+        for k in range(1, n):
+            p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+    if n == 1:
+        x, w = np.array([0.0]), np.array([2.0])
+    else:
+        i = np.arange(n)
+        x = np.cos(np.pi * (4 * i + 3) / (4 * n + 2))
+        for _ in range(100):
+            p, dp = p_and_dp(x)
+            dx = p / dp
+            x -= dx
+            if np.max(np.abs(dx)) < 1e-15:
+                break
+        _, dp = p_and_dp(x)
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
+        order = np.argsort(x)
+        x, w = x[order], w[order]
+    half = 0.5 * (hi - lo)
+    return 0.5 * (lo + hi) + half * x, half * w
 
 
 class TestGaussLegendre:
@@ -74,6 +103,14 @@ class TestGaussLegendre:
             np.testing.assert_allclose(rule.nodes, x_ref, atol=1e-14)
             np.testing.assert_allclose(rule.weights, w_ref, atol=1e-14)
 
+    @pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (0.0, 1.0)])
+    def test_bit_identical_to_two_recurrence_reference(self, lo, hi):
+        for n in list(range(1, 65)) + [256]:
+            rule = gauss_legendre(n, lo, hi)
+            nodes, weights = two_recurrence_gauss_legendre(n, lo, hi)
+            assert np.array_equal(rule.nodes, nodes), n
+            assert np.array_equal(rule.weights, weights), n
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             gauss_legendre(0, -1.0, 1.0)
@@ -111,27 +148,30 @@ class TestTrapezoid:
 
 
 class TestLegendreEval:
+    """Legendre polynomial values, read off the rows of legendre_basis."""
+
     def test_low_orders(self):
-        assert legendre_eval(0, 0.7) == 1.0
-        assert legendre_eval(1, 0.7) == 0.7
+        basis = legendre_basis(1, [0.7])
+        assert basis[0, 0] == 1.0
+        assert basis[1, 0] == 0.7
 
     def test_order_seven_monomial_oracle(self):
         # P_7(x) = (429 x^7 - 693 x^5 + 315 x^3 - 35 x) / 16
         x = 0.3
         expected = (429 * x**7 - 693 * x**5 + 315 * x**3 - 35 * x) / 16.0
-        assert legendre_eval(7, x) == pytest.approx(expected, abs=1e-14)
+        assert legendre_basis(7, [x])[7, 0] == pytest.approx(expected, abs=1e-14)
 
     @pytest.mark.parametrize("l,m", [(0, 0), (1, 1), (2, 5), (3, 3), (7, 7), (6, 4)])
     def test_orthogonality(self, l, m):
         rule = gauss_legendre(l + m + 2, -1.0, 1.0)
-        vals = np.array([legendre_eval(l, x) * legendre_eval(m, x) for x in rule.nodes])
-        integral = np.dot(rule.weights, vals)
+        basis = legendre_basis(max(l, m), rule.nodes)
+        integral = np.dot(rule.weights, basis[l] * basis[m])
         expected = 2.0 / (2 * l + 1) if l == m else 0.0
         assert integral == pytest.approx(expected, abs=1e-12)
 
     def test_vector_input(self):
         x = np.linspace(-1.0, 1.0, 11)
-        vals = legendre_eval(3, x)
+        vals = legendre_basis(3, x)[3]
         np.testing.assert_allclose(vals, 0.5 * (5 * x**3 - 3 * x), atol=1e-14)
 
 

@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
 from rtkrylov.errors import ResourceLimitError
 from rtkrylov.grid import build_grid
 from rtkrylov.multidim import CartesianGrid2D
-from rtkrylov.quadrature import legendre_basis, legendre_eval
+from rtkrylov.quadrature import legendre_basis
 from rtkrylov.scattering import (
     CoherentKernel,
     CRDKernel,
@@ -48,10 +49,9 @@ def kernel_phi(kernel, grid, r, rp):
     mu, mup = grid.ray_mu[r], grid.ray_mu[rp]
     nu, nup = grid.ray_nu[r], grid.ray_nu[rp]
     if isinstance(kernel, LegendreKernel):
-        return sum(
-            d * legendre_eval(l, mu) * legendre_eval(l, mup)
-            for l, d in enumerate(kernel.coefficients)
-        )
+        # numpy's Legendre series in mu with coefficients d_l P_l(mu')
+        d = np.asarray(kernel.coefficients)
+        return float(legendre.legval(mu, d * legendre.legval(mup, np.eye(d.size))))
     if isinstance(kernel, CRDKernel):
         return kernel.profile(nu) * kernel.profile(nup)
     if isinstance(kernel, CoherentKernel):

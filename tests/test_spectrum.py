@@ -116,6 +116,12 @@ class TestComputeSpectrum:
         with pytest.raises(ResourceLimitError):
             compute_spectrum(p, dense_cap=100)
 
+    @pytest.mark.parametrize("cap", [0, -100])
+    @pytest.mark.parametrize("n_angles", [4, 12])  # dense path (k >= N), core path
+    def test_dense_cap_below_one_rejected(self, cap, n_angles):
+        with pytest.raises(ValueError, match="dense_cap must be at least 1"):
+            compute_spectrum(presets.monochromatic(10, n_angles), dense_cap=cap)
+
     def test_core_path_caps_core_and_ray_blocks(self):
         # crd (20,8,10): N = 1600, core k = 20, ray blocks 80 * 20^2 = 32000 entries
         p = presets.crd(20, 8, 10)

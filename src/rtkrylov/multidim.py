@@ -219,7 +219,14 @@ def _csr(cols, vals, keep, shape) -> csr_matrix:
 
 
 def build_interpolators(family: RayFamily, grid: CartesianGrid2D) -> InterpolatorPair:
-    """(cartesian->ray bilinear, ray->cartesian inverse distance) pair."""
+    """(cartesian->ray bilinear, ray->cartesian inverse distance) pair.
+
+    Each Cartesian node takes its 4 nearest line nodes from a cKDTree. Where
+    a kept line node and a dropped one are equidistant (within rounding),
+    which is kept follows the tree's internal order, not a stated tie rule;
+    the tree's settings (leafsize, balanced_tree, compact_nodes) move such
+    ties. Every other row is the brute-force 4-nearest set.
+    """
     pts = family.nodes
     cart_to_ray = Interpolator(_csr(*_bilinear_rows(grid, pts), (family.n_nodes, grid.n_space)))
 

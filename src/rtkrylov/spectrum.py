@@ -2,7 +2,10 @@
 
 Eigenvalues come from LAPACK's nonsymmetric solver (balancing, Hessenberg
 reduction, shifted QR). The scattering factors as Gamma Psi W = U V^T with
-k = n_space * r columns (r the kernel rank), so A = Id - Lambda U V^T has the
+k = n_space * r' columns, r' the numerical rank of the kernel (see
+scattering.reduced_factor: min(8, n_angles) for mono, n_freq for coherent,
+1 for CRD, min(8, ceil(n_angles / 2)) for the 2D preset, whose kernel sees
+each mirrored azimuth pair once). So A = Id - Lambda U V^T has the
 eigenvalue one n - k times and 1 - eig(V^T Lambda U) for the rest: XY and YX
 share their nonzero eigenvalues. When k < n the solver runs on that k x k
 core, otherwise on the materialized operator. The core is formed in closed
@@ -25,6 +28,7 @@ import numpy as np
 
 from rtkrylov.errors import DENSE_CAP_DEFAULT, NumericalError, ResourceLimitError
 from rtkrylov.operator import RTProblem, materialize_A
+from rtkrylov.scattering import reduced_factor
 
 DEFAULT_EPS_VALUES = (0.01, 0.05, 0.1, 0.15)
 _ONE_SIDED_GUARD = 1e-12
@@ -81,10 +85,10 @@ def compute_spectrum(problem: RTProblem, dense_cap: int = DENSE_CAP_DEFAULT,
     not converge.
     """
     g = problem.grid
-    on_core = check_spectrum_size(problem.n_total, g.n_space, g.n_rays,
-                                  problem.scattering.d.size, dense_cap,
+    wpt, pt, d = reduced_factor(problem.scattering)
+    on_core = check_spectrum_size(problem.n_total, g.n_space, g.n_rays, d.size, dense_cap,
                                   problem.transfer.ray_blocks_scratch)
-    core = _scattering_core(problem) if on_core else None
+    core = _scattering_core(problem, wpt, pt, d) if on_core else None
     try:
         if core is None:
             eigenvalues = np.linalg.eigvals(materialize_A(problem, dense_cap=dense_cap))
@@ -109,19 +113,20 @@ def compute_spectrum(problem: RTProblem, dense_cap: int = DENSE_CAP_DEFAULT,
     )
 
 
-def _scattering_core(problem: RTProblem) -> np.ndarray:
-    """The k x k core V^T Lambda U, k = n_space * r.
+def _scattering_core(problem: RTProblem, wpt: np.ndarray, pt: np.ndarray,
+                     d: np.ndarray) -> np.ndarray:
+    """The k x k core V^T Lambda U, k = n_space * r, of the factor (wpt, pt, d).
 
     With B[q] the transfer block of ray q, C[q, i, j] = B[q, i, j] gamma[j, q]
     and E[q, m, m'] = (W P)[q, m] P[q, m'] d[m'], the core entry of rows
     (i, m) and columns (j, m') is sum_q C[q, i, j] E[q, m, m'].
     """
-    g, s = problem.grid, problem.scattering
-    r = s.d.size
+    g = problem.grid
+    r = d.size
     k = g.n_space * r
     c = problem.transfer.ray_blocks()
-    c *= s.gamma_table.T[:, None, :]
-    e = s.wpt.T[:, :, None] * (s.pt.T * s.d)[:, None, :]
+    c *= problem.scattering.gamma_table.T[:, None, :]
+    e = wpt.T[:, :, None] * (pt.T * d)[:, None, :]
     core = c.reshape(g.n_rays, g.n_space**2).T @ e.reshape(g.n_rays, r * r)
     return core.reshape(g.n_space, g.n_space, r, r).transpose(0, 2, 1, 3).reshape(k, k)
 

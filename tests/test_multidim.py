@@ -282,6 +282,30 @@ class TestInterpolators:
             for got, ref in zip(pair, loop_interpolators(family.nodes, grid)):
                 assert_csr_identical(got.matrix, ref)
 
+    def test_untied_rows_match_brute_force_four_nearest(self):
+        # the tree decides only among equidistant line nodes: every row whose
+        # 4th and 5th nearest distances differ keeps the brute-force 4-set (a
+        # node on a line keeps its nearest line node alone)
+        grid = CartesianGrid2D(16, 16, 12)
+        h = max(grid.hx, grid.hy)
+        checked = tied = 0
+        for direction in grid.directions:
+            family = trace_rays(grid, direction)
+            r2c = build_interpolators(family, grid).ray_to_cart.matrix
+            dist = np.linalg.norm(grid.node_xy[:, None, :] - family.nodes[None, :, :], axis=2)
+            nearest = np.argsort(dist, axis=1, kind="stable")[:, :5]
+            d = np.take_along_axis(dist, nearest, axis=1)
+            for row in range(grid.n_space):
+                cols = r2c.indices[r2c.indptr[row]:r2c.indptr[row + 1]]
+                m = cols.size
+                if d[row, m] - d[row, m - 1] <= 1e-12 * h:
+                    tied += 1
+                    continue
+                assert set(cols) == set(nearest[row, :m]), (direction, row)
+                checked += 1
+        assert checked > 0.9 * grid.n_space * grid.n_rays
+        assert tied > 0  # the rule is stated on a grid that has ties
+
     def test_coverage_error_for_sparse_family(self, unit_grid_8):
         family = trace_rays(unit_grid_8, (1.0, 0.0), spacing=10.0)
         with pytest.raises(CoverageError):

@@ -20,6 +20,7 @@ from rtkrylov.scattering import (
     kernel_normalization,
     materialize_scattering,
     psi_matrix,
+    reduced_factor,
 )
 
 L7_COEFFS = (1.0, 1.98398, 1.50823, 0.70075, 0.23489, 0.05133, 0.00760, 0.00048)
@@ -344,3 +345,39 @@ class TestFactor:
         w = factor_grid.combined_weights
         dense = float(w @ (branch_psi_matrix(kernel, factor_grid) @ w)) / factor_grid.sphere_measure**2
         assert kernel_normalization(kernel, factor_grid) == pytest.approx(dense, rel=1e-14)
+
+
+def quiet_scattering(grid, kernel):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScatteringStrengthWarning)
+        return build_scattering(grid, kernel, lambda *xs: 0.5 * np.ones_like(sum(xs)))
+
+
+class TestReducedFactor:
+    @pytest.mark.parametrize("n_angles", range(1, 25))
+    def test_2d_rank_counts_mirrored_azimuths_once(self, n_angles):
+        op = quiet_scattering(CartesianGrid2D(2, 2, n_angles), LegendreKernel(L7_COEFFS))
+        wpt, pt, d = reduced_factor(op)
+        assert d.size == min(8, math.ceil(n_angles / 2))
+        assert pt.shape == wpt.shape == (d.size, n_angles)
+        # the thinned factor spans the same kernel and carries the same weights
+        psi = psi_matrix(op.kernel, op.grid)
+        np.testing.assert_allclose(pt.T @ (d[:, None] * pt), psi, rtol=0, atol=1e-13 * np.abs(psi).max())
+        np.testing.assert_array_equal(wpt, pt * op.grid.combined_weights)
+
+    @pytest.mark.parametrize("n_angles", range(2, 25, 2))
+    def test_mono_rank(self, n_angles):
+        op = quiet_scattering(build_grid(2, n_angles, 1, 0.0, 1.0), LegendreKernel(L7_COEFFS))
+        assert reduced_factor(op)[2].size == min(8, n_angles)
+
+    @pytest.mark.parametrize("n_freq", [1, 2, 5, 20])
+    def test_line_kernel_ranks(self, n_freq):
+        grid = build_grid(2, 4, n_freq, 0.0, 1.0, f_lo=-10.0, f_hi=10.0, profile=lorentzian)
+        assert reduced_factor(quiet_scattering(grid, CoherentKernel(lorentzian)))[2].size == n_freq
+        assert reduced_factor(quiet_scattering(grid, CRDKernel(lorentzian)))[2].size == 1
+
+    @pytest.mark.parametrize("kernel_factory", KERNELS)
+    def test_full_rank_returns_stored_arrays(self, factor_grid, kernel_factory):
+        op = quiet_scattering(factor_grid, kernel_factory())
+        wpt, pt, d = reduced_factor(op)
+        assert wpt is op.wpt and pt is op.pt and d is op.d

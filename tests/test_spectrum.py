@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,11 +9,22 @@ from rtkrylov import presets
 from rtkrylov.errors import NumericalError, ResourceLimitError
 from rtkrylov.multidim import TransferOperator2D, build_transfer_2d
 from rtkrylov.operator import materialize_A
-from rtkrylov.scattering import build_scattering, materialize_scattering
-from rtkrylov.spectrum import check_spectrum_size, clustering_trend, compute_spectrum
+from rtkrylov.scattering import LegendreKernel, build_scattering, materialize_scattering
+from rtkrylov.spectrum import (
+    _scattering_core,
+    check_spectrum_size,
+    clustering_trend,
+    compute_spectrum,
+)
 from rtkrylov.transfer import TransferOperator
 
 from conftest import assert_matches_dense_spectrum
+
+
+def numerical_rank(preset, n_angles, n_freq=1, **_):
+    """Rank of the preset's kernel at this angle and frequency count."""
+    return {"mono": min(8, n_angles), "coherent": n_freq, "crd": 1,
+            "aniso2d": min(8, math.ceil(n_angles / 2))}[preset]
 
 
 class TestComputeSpectrum:
@@ -61,11 +73,13 @@ class TestComputeSpectrum:
         ("coherent", dict(n_space=6, n_angles=8, n_freq=5)),
         ("crd", dict(n_space=6, n_angles=8, n_freq=5)),
         ("aniso2d", dict(n_x=6, n_y=6, n_angles=12)),
+        ("aniso2d", dict(n_x=6, n_y=6, n_angles=8)),   # k = 36 * 4 = 144
+        ("aniso2d", dict(n_x=5, n_y=4, n_angles=3)),   # k = 20 * 2 = 40
     ])
     def test_reduced_core_matches_dense_eigensolve(self, preset, params):
         p = presets.build(preset, **params)
         rep = compute_spectrum(p)
-        assert rep.reduced_dim == p.grid.n_space * p.scattering.d.size < p.n_total
+        assert rep.reduced_dim == p.grid.n_space * numerical_rank(preset, **params) < p.n_total
         assert_matches_dense_spectrum(p, rep)
 
     def test_reduced_core_with_coefficient_not_separable(self):
@@ -75,6 +89,36 @@ class TestComputeSpectrum:
         p.scattering = build_scattering(p.grid, p.scattering.kernel,
                                         lambda t, mu, nu: 0.1 * (1.0 - t) * (1.0 + mu * t))
         assert_matches_dense_spectrum(p, compute_spectrum(p))
+
+    @pytest.mark.parametrize("preset,params", [
+        ("mono", dict(n_space=100, n_angles=24)),
+        ("coherent", dict(n_space=10, n_angles=24, n_freq=10)),
+        ("crd", dict(n_space=10, n_angles=24, n_freq=10)),
+    ])
+    def test_full_rank_cells_solve_the_raw_factor_core(self, preset, params):
+        # the Table 1/2 cells keep their stored factor, so their spectra are
+        # exactly those of the core built from it
+        p = presets.build(preset, **params)
+        s = p.scattering
+        core = _scattering_core(p, s.wpt, s.pt, s.d)
+        expected = np.concatenate([1.0 - np.linalg.eigvals(core),
+                                   np.ones(p.n_total - core.shape[0])])
+        assert np.array_equal(compute_spectrum(p).eigenvalues, expected)
+
+    @pytest.mark.parametrize("coefficients", [(0.0, 0.0), (0.0,) * 8])
+    def test_zero_kernel_leaves_only_ones(self, coefficients):
+        for p in (presets.monochromatic(6, 12), presets.build("aniso2d", n_x=4, n_y=4, n_angles=8)):
+            p.scattering = build_scattering(p.grid, LegendreKernel(coefficients),
+                                            lambda *xs: 0.5 * np.ones_like(sum(xs)))
+            rep = compute_spectrum(p)
+            assert rep.reduced_dim == 0  # numerical rank 0
+            assert np.array_equal(rep.eigenvalues, np.ones(p.n_total))
+
+    def test_single_azimuth_2d_stays_dense(self):
+        p = presets.build("aniso2d", n_x=4, n_y=3, n_angles=1, gamma_scale=0.3)
+        rep = compute_spectrum(p)
+        assert rep.reduced_dim == p.n_total  # rank 1 = n_rays
+        assert_matches_dense_spectrum(p, rep)
 
     @pytest.mark.parametrize("preset,params", [
         ("mono", dict(n_space=40, n_angles=24)),
@@ -140,13 +184,16 @@ class TestComputeSpectrum:
         assert compute_spectrum(p, dense_cap=358).reduced_dim == 80  # 358^2 = 128164
 
     def test_core_path_caps_2d_line_scratch(self):
-        # aniso2d (4,4,12): k = 128 = the cap, ray blocks 12 * 16^2 = 3072 entries;
-        # default lines give 352 scratch entries, node_step 1e-3 gives 68000 > 128^2
+        # aniso2d (4,4,12): numerical rank 6, so k = 96 = the cap, ray blocks
+        # 12 * 16^2 = 3072 entries; default lines give 352 scratch entries,
+        # node_step 1e-3 gives 68000 > 96^2
         p = presets.build("aniso2d", n_x=4, n_y=4, n_angles=12)
-        assert compute_spectrum(p, dense_cap=128).reduced_dim == 128
+        assert compute_spectrum(p, dense_cap=96).reduced_dim == 96
+        with pytest.raises(ResourceLimitError, match="9216"):
+            compute_spectrum(p, dense_cap=95)  # the 96 x 96 core
         fine = dataclasses.replace(p, transfer=build_transfer_2d(p.grid, node_step=1e-3))
         with pytest.raises(ResourceLimitError, match="68000"):
-            compute_spectrum(fine, dense_cap=128)
+            compute_spectrum(fine, dense_cap=96)
 
     @pytest.mark.parametrize("preset,params", [
         ("mono", dict(n_space=6, n_angles=12, n_freq=1)),

@@ -11,20 +11,29 @@ cartesian -> lines -> transfer -> cartesian. A family's lines are built, and
 a callable opacity chi(x, y) or inflow(x, y) is evaluated, on whole arrays
 of points at once.
 
-The build traces each direction's family and builds its interpolators on a
-thread pool sized to the cores the process may run on (cKDTree releases the
-GIL while it builds and queries); chi and inflow are still called once, on
-the caller's thread, over the nodes of every direction. The applies are
-single-threaded: the banded sweep holds the GIL (two half-band sweeps on two
-threads took 0.85 ms against 0.80 ms for one sweep on crd 200x24x50), and
-the 24 small CSR products of a 2D apply took 0.64 ms on two threads against
-0.27 ms serially (aniso2d 48x48x24; 2 cores, one BLAS thread).
+The interpolators of all directions are stored once, stacked into two sparse
+maps over the line nodes of every direction: gather (bilinear rows, one per
+line node) and scatter (inverse-distance rows, one per space-major unknown).
+An apply is one gather product, one weights pass, one banded sweep over
+every line and one scatter product, bit-identical to sweeping each direction
+between its own two maps.
+
+The build traces each direction's family on the caller's thread and builds
+its interpolators on a thread pool sized to the cores the process may run on
+(cKDTree releases the GIL while it builds and queries); each worker writes
+its direction's maps into the stacked ones as soon as they are built, so
+the maps of all directions are never held twice. chi and inflow are called
+once, on the caller's thread, over the nodes of every direction. The
+applies are single-threaded: the banded sweep holds the GIL (two half-band
+sweeps on two threads took 0.85 ms against 0.80 ms for one sweep on crd
+200x24x50).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
@@ -258,13 +267,18 @@ class TransferOperator2D:
     """Composed transfer over all directions with a matrix-free apply.
 
     dtau, band and boundary run over the line nodes of every direction in
-    turn; direction k owns nodes offsets[k]:offsets[k + 1], and each apply
-    sweeps every direction on its slice of the one band.
+    turn; direction k owns nodes offsets[k]:offsets[k + 1]. The interpolators
+    of all directions are stored once, as two stacked maps between the line
+    nodes and the space-major unknowns (column or row c * n_rays + k for
+    Cartesian node c and direction k): gather holds the bilinear rows of
+    every line node, scatter the inverse-distance rows of every unknown. An
+    apply is scatter @ sweep(band, w * (gather @ v)).
     """
 
     grid: CartesianGrid2D
     families: list            # RayFamily per direction
-    blocks: list              # InterpolatorPair per direction
+    gather: csr_matrix        # (line nodes, n_total) bilinear maps, unweighted
+    scatter: csr_matrix       # (n_total, line nodes) inverse-distance maps
     dtau: np.ndarray          # increment entering each line node, 0 at line entries
     band: np.ndarray          # marching matrix of all lines, see _kernels.band
     boundary: np.ndarray      # attenuated inflow on the line nodes, swept at build time
@@ -274,39 +288,69 @@ class TransferOperator2D:
     def n_total(self) -> int:
         return self.grid.n_total
 
-    def _slices(self):
-        return enumerate(zip(self.blocks, self.offsets[:-1], self.offsets[1:]))
-
     def apply_space_major(self, v: np.ndarray) -> np.ndarray:
         """Homogeneous transfer of a space-major vector, as a new array."""
         v = np.asarray(v, dtype=float)
         if v.size != self.n_total:
             raise ValueError(f"expected length {self.n_total}, got {v.size}")
-        mat = v.reshape(self.grid.n_space, self.grid.n_rays)
-        out = np.empty_like(mat)
-        for k, (pair, a, b) in self._slices():
-            rhs = pair.cart_to_ray.matrix @ np.ascontiguousarray(mat[:, k])
-            rhs *= _kernels.weights(self.band)[a:b]
-            out[:, k] = pair.ray_to_cart.matrix @ _kernels.sweep(self.band[:, a:b], rhs)
-        return out.ravel()
+        rhs = self.gather @ v.reshape(-1)
+        rhs *= _kernels.weights(self.band)
+        return self.scatter @ _kernels.sweep(self.band, rhs)
 
     def boundary_space_major(self) -> np.ndarray:
-        out = np.empty((self.grid.n_space, self.grid.n_rays))
-        for k, (pair, a, b) in self._slices():
-            out[:, k] = pair.ray_to_cart.matrix @ self.boundary[a:b]
-        return out.ravel()
+        return self.scatter @ self.boundary
+
+    def _direction_maps(self):
+        """Each direction's (gather, scatter) maps as CSR (data, indices, indptr)
+        triples with its own line and Cartesian indices, one direction at a time.
+
+        A direction's gather rows are one slice of the stacked map; its
+        scatter rows, every n_rays-th, are first put in direction-major
+        order for all directions at once.
+        """
+        n_rays, n_space = self.grid.n_rays, self.grid.n_space
+        gp, sp = self.gather.indptr, self.scatter.indptr
+        counts = np.diff(sp).reshape(n_space, n_rays).T.ravel()
+        ptr = np.zeros(counts.size + 1, dtype=sp.dtype)
+        np.cumsum(counts, out=ptr[1:])
+        at = np.arange(ptr[-1]) + np.repeat(sp[:-1].reshape(n_space, n_rays).T.ravel() - ptr[:-1],
+                                            counts)
+        data, lines = self.scatter.data[at], self.scatter.indices[at]
+        for k, (a, b) in enumerate(zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())):
+            s, e = gp[a], gp[b]
+            p = ptr[k * n_space:(k + 1) * n_space + 1]
+            yield ((self.gather.data[s:e], self.gather.indices[s:e] // n_rays, gp[a:b + 1] - s),
+                   (data[p[0]:p[-1]], lines[p[0]:p[-1]] - a, p - p[0]))
+
+    @property
+    def blocks(self) -> tuple:
+        """One unweighted InterpolatorPair per direction, equal to what
+        build_interpolators returns; derived from the stacked maps, read-only."""
+        n_space = self.grid.n_space
+        out = []
+        for gather, scatter in self._direction_maps():
+            n_k = gather[2].size - 1
+            out.append(InterpolatorPair(_read_only_map(gather, (n_k, n_space)),
+                                        _read_only_map(scatter, (n_space, n_k))))
+        return tuple(out)
 
     def ray_blocks(self) -> np.ndarray:
         """(n_rays, n_space, n_space) diagonal blocks of the transfer, one per direction.
 
-        Each direction sweeps w times the dense Cartesian-to-line matrix,
-        one right-hand side per Cartesian node, and maps the result back.
+        Each direction sweeps w times its dense gather map, one right-hand
+        side per Cartesian node, and maps the result back through its
+        scatter rows, wrapped in a CSR matrix for the product.
         """
-        out = np.empty((self.grid.n_rays, self.grid.n_space, self.grid.n_space))
-        for k, (pair, a, b) in self._slices():
-            cols = pair.cart_to_ray.matrix.toarray(order="F")
-            cols *= _kernels.weights(self.band)[a:b, None]
-            out[k] = pair.ray_to_cart.matrix @ _kernels.sweep(self.band[:, a:b], cols)
+        g = self.grid
+        w = _kernels.weights(self.band)
+        out = np.empty((g.n_rays, g.n_space, g.n_space))
+        for k, ((g_data, g_cart, g_ptr), scatter) in enumerate(self._direction_maps()):
+            a, b = self.offsets[k], self.offsets[k + 1]
+            cols = np.zeros((b - a, g.n_space), order="F")
+            cols[np.repeat(np.arange(b - a), np.diff(g_ptr)), g_cart] = g_data
+            cols *= w[a:b, None]
+            _kernels.sweep(self.band[:, a:b], cols)
+            out[k] = csr_matrix(scatter, shape=(g.n_space, b - a)) @ cols
         return out
 
     @property
@@ -321,7 +365,8 @@ class TransferOperator2D:
         g = self.grid
         out = np.zeros((n, n))
         view = out.reshape(g.n_space, g.n_rays, g.n_space, g.n_rays)
-        for k, (pair, a, b) in self._slices():
+        for k, pair in enumerate(self.blocks):
+            a, b = self.offsets[k], self.offsets[k + 1]
             dtau, lines = self.dtau[a:b], self.families[k].node_offsets
             lam_r = np.zeros((b - a, b - a))
             for l in range(lines.size - 1):
@@ -330,6 +375,44 @@ class TransferOperator2D:
             view[:, k, :, k] = (pair.ray_to_cart.matrix.toarray() @ lam_r
                                 @ pair.cart_to_ray.matrix.toarray())
         return out
+
+
+def _read_only_map(arrays, shape) -> Interpolator:
+    """Interpolator over CSR (data, indices, indptr) arrays, made read-only."""
+    matrix = csr_matrix(arrays, shape=shape)
+    for arr in (matrix.data, matrix.indices, matrix.indptr):
+        arr.flags.writeable = False
+    return Interpolator(matrix)
+
+
+# the most entries in a row of either interpolator: four bilinear corners or
+# four nearest line nodes
+_ROW_ENTRIES = 4
+
+
+def _row_slots(n_rows: int, index):
+    """Zeroed (data, indices) with _ROW_ENTRIES slots per row."""
+    return np.zeros(n_rows * _ROW_ENTRIES), np.zeros(n_rows * _ROW_ENTRIES, dtype=index)
+
+
+def _place(matrix, rows, columns, data, indices):
+    """Write the rows of a CSR matrix into the slots of the given rows, with
+    its column numbers replaced by columns."""
+    n = np.diff(matrix.indptr)
+    at = np.repeat(rows * _ROW_ENTRIES - matrix.indptr[:-1], n) + np.arange(matrix.nnz)
+    data[at] = matrix.data
+    indices[at] = columns
+
+
+def _packed(data, indices, shape) -> csr_matrix:
+    """CSR matrix of the filled row slots, packed in place: the unfilled slots
+    hold zero, which no interpolation weight is, and are dropped."""
+    indptr = np.arange(0, data.size + 1, _ROW_ENTRIES, dtype=indices.dtype)
+    csr_matrix((data, indices, indptr), shape=shape).eliminate_zeros()
+    # the matrix that viewed the slots is gone, so they can be trimmed in place
+    for slots in (data, indices):
+        slots.resize(indptr[-1], refcheck=False)
+    return csr_matrix((data, indices, indptr), shape=shape)
 
 
 def _usable_cores() -> int:
@@ -350,21 +433,59 @@ def build_transfer_2d(grid: CartesianGrid2D, chi: Union[float, Callable] = 1.0,
     at each line's entry point (scalar or inflow(x, y)). A callable is given
     arrays of x and y and returns one value per point. A non-finite
     optical-depth increment or boundary intensity is rejected with ValueError.
-    The directions are traced and interpolated on a thread pool; an error in
-    one of them is raised here unchanged, once every worker has stopped.
+    The directions are traced on the calling thread and interpolated on a
+    thread pool, which writes each direction's maps into the stacked ones as
+    soon as all are traced; the first direction to fail raises its error
+    here unchanged, once every worker has stopped.
     """
     chi_fn = chi if callable(chi) else (lambda x, y: float(chi))
     inflow_fn = inflow if callable(inflow) else (lambda x, y: float(inflow))
+    n_rays = grid.n_rays
+    families = []
+    stacked = {}       # the offsets and row slots, once every direction is traced
+    traced = threading.Event()
 
-    def direction(d):
-        # through the module globals, so a wrapper installed on them sees every call
-        family = trace_rays(grid, d, spacing, node_step)
-        return family, build_interpolators(family, grid)
+    # trace_rays and build_interpolators are called through the module globals,
+    # so that a wrapper installed on them sees every call
+    def interpolate(k):
+        gather, scatter = (m.matrix for m in build_interpolators(families[k], grid))
+        traced.wait()
+        # placed as soon as traced, so that the maps of all directions are never held together
+        if stacked:
+            a, b = stacked["offsets"][k:k + 2].tolist()
+            _place(gather, np.arange(a, b), gather.indices * n_rays + k, *stacked["gather"])
+            _place(scatter, np.arange(k, grid.n_total, n_rays), scatter.indices + a,
+                   *stacked["scatter"])
 
     with ThreadPoolExecutor(min(_usable_cores(), grid.n_angles)) as pool:
-        families, blocks = map(list, zip(*pool.map(direction, grid.directions)))
-    # all directions' lines end to end; the terms bridging two lines are reset
-    offsets = np.cumsum([0] + [fam.n_nodes for fam in families])
+        built = []
+        try:
+            for d in grid.directions:
+                families.append(trace_rays(grid, d, spacing, node_step))
+                built.append(pool.submit(interpolate, len(built)))
+            # all directions' lines end to end; the terms bridging two lines are reset
+            offsets = np.cumsum([0] + [fam.n_nodes for fam in families])
+            n_lines = int(offsets[-1])
+            index = (np.int32 if _ROW_ENTRIES * max(n_lines, grid.n_total) <= np.iinfo(np.int32).max
+                     else np.int64)
+            stacked.update(offsets=offsets, gather=_row_slots(n_lines, index),
+                           scatter=_row_slots(grid.n_total, index))
+            traced.set()
+            dtau, band, boundary = _swept_lines(families, offsets, chi_fn, inflow_fn)
+        finally:
+            traced.set()
+            for future in built:  # the first direction to fail raises, as if built in turn
+                future.result()
+    return TransferOperator2D(
+        grid=grid, families=families, gather=_packed(*stacked["gather"], (n_lines, grid.n_total)),
+        scatter=_packed(*stacked["scatter"], (grid.n_total, n_lines)), dtau=dtau, band=band,
+        boundary=boundary, offsets=offsets,
+    )
+
+
+def _swept_lines(families, offsets, chi_fn, inflow_fn):
+    """(dtau, band, boundary) of all directions' lines end to end, the
+    boundary swept; the terms bridging two lines are reset."""
     starts = np.concatenate([fam.node_offsets[:-1] + b for fam, b in zip(families, offsets)])
     nodes = np.concatenate([fam.nodes for fam in families])
     entries = np.concatenate([fam.entries for fam in families])
@@ -380,10 +501,7 @@ def build_transfer_2d(grid: CartesianGrid2D, chi: Union[float, Callable] = 1.0,
     if not np.all(np.isfinite(boundary)):
         raise ValueError("boundary intensities must be finite")
     band = _kernels.band(dtau, np.append(starts, offsets[-1]))
-    return TransferOperator2D(
-        grid=grid, families=families, blocks=blocks, dtau=dtau, band=band,
-        boundary=_kernels.sweep(band, boundary), offsets=offsets,
-    )
+    return dtau, band, _kernels.sweep(band, boundary)
 
 
 def anisotropic_2d(n_x: int, n_y: int, n_angles: int, gamma_scale: float = 1.0,

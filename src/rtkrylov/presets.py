@@ -8,6 +8,8 @@ frequencies in [-10, 10].
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from rtkrylov.grid import build_grid
@@ -82,7 +84,13 @@ def kernel_rank(preset: str, n_freq: int = 1) -> int:
 
 
 def build(preset: str, **params) -> RTProblem:
-    """Dispatch a preset by name (mono, coherent, crd, aniso2d)."""
+    """Dispatch a preset by name (mono, coherent, crd, aniso2d).
+
+    A non-finite gamma_scale is rejected with ValueError before anything is
+    sampled.
+    """
+    if not math.isfinite(params.get("gamma_scale", 1.0)):
+        raise ValueError(f"gamma_scale must be finite, got {params['gamma_scale']}")
     if preset == "mono":
         return monochromatic(params["n_space"], params["n_angles"],
                              gamma_scale=params.get("gamma_scale", 1.0))

@@ -1,4 +1,5 @@
 import json
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -134,6 +135,29 @@ class TestSolve:
     def test_non_finite_strength_exit_code(self, tmp_path):
         assert main(["solve", "--preset", "mono", "--ns", "10", "--nomega", "4",
                      "--gamma-scale", "nan", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("preset, flags", [
+        ("mono", ["--gamma-scale", "inf"]),
+        ("crd", ["--gamma-scale", "inf"]),
+        ("aniso2d", ["--gamma-scale", "inf"]),
+        ("mono", ["--gamma-scale=-inf"]),
+        ("mono", ["--config", "{config}"]),
+    ])
+    def test_infinite_strength_is_one_error_line(self, tmp_path, capsys, preset, flags):
+        # rejected before the coefficient is sampled, where inf * 0 would warn
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"gamma_scale": "inf"}))
+        flags = [f.format(config=cfg_path) for f in flags]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "--preset", preset, "--ns", "10", "--nomega", "4",
+                         "--nnu", "3", "--nx", "4", "--ny", "4", *flags,
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: gamma_scale must be finite") and err.count("\n") == 1
+        assert [w.category for w in caught] == []
+        assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tolerance_exit_code(self, tmp_path, tol):

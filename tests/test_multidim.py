@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import sys
@@ -5,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 from scipy.spatial import cKDTree
 
 from rtkrylov import _kernels, multidim
@@ -158,6 +159,77 @@ def assert_build_matches_loops(grid, **kwargs):
     assert_identical(op.dtau, dtau)
     assert_identical(op.band, band)
     assert_identical(op.boundary, boundary)
+
+
+# grids and options on which the build must equal the reference loops bit for bit
+BUILD_CASES = [
+    ((4, 4, 8), {}),
+    ((5, 9, 3), {"chi": 1.3, "inflow": 0.7}),
+    ((16, 16, 12), {}),
+    ((48, 48, 24), {}),
+    ((9, 7, 5), {"spacing": 0.07, "node_step": 0.05}),
+    ((10, 14, 6), {"chi": lambda x, y: 1.0 + x * y,
+                   "inflow": lambda x, y: np.exp(-x) + np.sin(3.0 * y)}),
+]
+
+
+def loop_apply(op, pairs, v):
+    # reference: each direction gathered, weighted, swept and scattered on its own
+    mat = v.reshape(op.grid.n_space, op.grid.n_rays)
+    out = np.empty_like(mat)
+    for k, (pair, a, b) in enumerate(zip(pairs, op.offsets[:-1], op.offsets[1:])):
+        rhs = pair.cart_to_ray.matrix @ np.ascontiguousarray(mat[:, k])
+        rhs *= _kernels.weights(op.band)[a:b]
+        out[:, k] = pair.ray_to_cart.matrix @ _kernels.sweep(op.band[:, a:b], rhs)
+    return out.ravel()
+
+
+def loop_boundary(op, pairs):
+    out = np.empty((op.grid.n_space, op.grid.n_rays))
+    for k, (pair, a, b) in enumerate(zip(pairs, op.offsets[:-1], op.offsets[1:])):
+        out[:, k] = pair.ray_to_cart.matrix @ op.boundary[a:b]
+    return out.ravel()
+
+
+def loop_ray_blocks(op, pairs):
+    out = np.empty((op.grid.n_rays, op.grid.n_space, op.grid.n_space))
+    for k, (pair, a, b) in enumerate(zip(pairs, op.offsets[:-1], op.offsets[1:])):
+        cols = pair.cart_to_ray.matrix.toarray(order="F")
+        cols *= _kernels.weights(op.band)[a:b, None]
+        out[k] = pair.ray_to_cart.matrix @ _kernels.sweep(op.band[:, a:b], cols)
+    return out
+
+
+def assert_stacked_matches_loops(grid, **kwargs):
+    """The stacked apply, boundary and ray blocks equal the per-direction loops
+    over build_interpolators' own maps, bit for bit."""
+    op = build_transfer_2d(grid, **kwargs)
+    pairs = [build_interpolators(family, grid) for family in op.families]
+    rng = np.random.default_rng(11)
+    for v in (rng.standard_normal(grid.n_total), np.ones(grid.n_total)):
+        assert_identical(op.apply_space_major(v), loop_apply(op, pairs, v))
+    assert_identical(op.boundary_space_major(), loop_boundary(op, pairs))
+    if grid.n_rays * grid.n_space**2 <= 2**22:  # 32 MB of blocks
+        assert_identical(op.ray_blocks(), loop_ray_blocks(op, pairs))
+
+
+def owner_bytes(array) -> int:
+    """Bytes of the array whose memory array views."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array.nbytes
+
+
+def held_sparse_bytes(value) -> int:
+    """Bytes of the sparse arrays reachable from value through fields, lists and
+    tuples, counting the whole array that each one views."""
+    if issparse(value):
+        return sum(owner_bytes(getattr(value, attr)) for attr in ("indptr", "indices", "data"))
+    if isinstance(value, (list, tuple)):
+        return sum(held_sparse_bytes(v) for v in value)
+    if hasattr(value, "__dict__"):
+        return sum(held_sparse_bytes(v) for v in vars(value).values())
+    return 0
 
 
 @pytest.fixture
@@ -347,15 +419,7 @@ class TestTransfer2D:
         assert_identical(x, entries[:, 0])
         assert_identical(y, entries[:, 1])
 
-    @pytest.mark.parametrize("shape, kwargs", [
-        ((4, 4, 8), {}),
-        ((5, 9, 3), {"chi": 1.3, "inflow": 0.7}),
-        ((16, 16, 12), {}),
-        ((48, 48, 24), {}),
-        ((9, 7, 5), {"spacing": 0.07, "node_step": 0.05}),
-        ((10, 14, 6), {"chi": lambda x, y: 1.0 + x * y,
-                       "inflow": lambda x, y: np.exp(-x) + np.sin(3.0 * y)}),
-    ])
+    @pytest.mark.parametrize("shape, kwargs", BUILD_CASES)
     def test_matches_per_line_loops(self, shape, kwargs):
         assert_build_matches_loops(CartesianGrid2D(*shape), **kwargs)
 
@@ -393,6 +457,53 @@ class TestTransfer2D:
                                        atol=2 * (b - a) * np.finfo(float).eps * expected.max())
             np.testing.assert_allclose(swept[a:b], lower_block(dtau[a + 1:b]) @ np.ones(b - a),
                                        rtol=1e-13, atol=1e-15)
+
+
+class TestStackedMaps:
+    """One gather and one scatter map hold the interpolators of every direction."""
+
+    @pytest.mark.parametrize("shape, kwargs", BUILD_CASES + [((8, 8, 1), {"inflow": 1.0})])
+    def test_matches_per_direction_loops(self, shape, kwargs):
+        assert_stacked_matches_loops(CartesianGrid2D(*shape), **kwargs)
+
+    def test_matches_per_direction_loops_on_shifted_domain(self):
+        grid = CartesianGrid2D(7, 11, 6, domain=(-1.0, 2.5, 0.3, 1.1))
+        assert_stacked_matches_loops(grid, chi=lambda x, y: 0.5 + x**2,
+                                     inflow=lambda x, y: y - x, spacing=0.1, node_step=0.04)
+
+    @pytest.mark.parametrize("shape", [(16, 16, 12), (48, 48, 24)])
+    def test_sparse_storage_held_once(self, shape):
+        # no more than the per-direction maps, and nothing besides the two stacked ones
+        grid = CartesianGrid2D(*shape)
+        op = build_transfer_2d(grid)
+        per_direction = sum(held_sparse_bytes(build_interpolators(family, grid))
+                            for family in op.families)
+        assert held_sparse_bytes(op) == held_sparse_bytes((op.gather, op.scatter))
+        assert held_sparse_bytes(op) <= per_direction
+
+    def test_layout(self, unit_grid_8):
+        # gather rows are line nodes, scatter rows space-major unknowns; the
+        # unknown of Cartesian node c and direction k is c * n_rays + k
+        op = build_transfer_2d(unit_grid_8)
+        g, n_lines = unit_grid_8, op.offsets[-1]
+        assert op.gather.shape == (n_lines, g.n_total) and op.scatter.shape == (g.n_total, n_lines)
+        for m in (op.gather, op.scatter):
+            assert m.indices.dtype == m.indptr.dtype == np.int32
+        direction = np.repeat(np.arange(g.n_rays), np.diff(op.offsets))  # of each line node
+        rows = np.repeat(np.arange(n_lines), np.diff(op.gather.indptr))
+        assert np.array_equal(op.gather.indices % g.n_rays, direction[rows])
+        rows = np.repeat(np.arange(g.n_total), np.diff(op.scatter.indptr))
+        assert np.array_equal(direction[op.scatter.indices], rows % g.n_rays)
+
+    def test_blocks_derived_and_read_only(self, unit_grid_8):
+        op = build_transfer_2d(unit_grid_8)
+        assert "blocks" not in {field.name for field in dataclasses.fields(op)}
+        for pair in op.blocks:
+            for interpolator in pair:
+                for attr in ("indptr", "indices", "data"):
+                    with pytest.raises(ValueError, match="read-only"):
+                        getattr(interpolator.matrix, attr)[0] = 0
+        assert_stacked_matches_loops(unit_grid_8)
 
 
 class TestThreadedBuild:

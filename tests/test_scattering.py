@@ -204,6 +204,22 @@ class TestBuild:
         with pytest.raises(ValueError):
             presets.build("mono", n_space=10, n_angles=4, gamma_scale=math.nan)
 
+    @pytest.mark.parametrize("preset", ["mono", "coherent", "crd", "aniso2d"])
+    @pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan])
+    def test_preset_rejects_non_finite_strength_before_sampling(self, monkeypatch, preset, scale):
+        from rtkrylov import multidim, presets
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a problem with a non-finite gamma_scale")
+
+        monkeypatch.setattr(presets, "build_grid", unreachable)
+        monkeypatch.setattr(multidim, "CartesianGrid2D", unreachable)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="gamma_scale must be finite"):
+                presets.build(preset, n_space=10, n_angles=4, n_freq=3, n_x=4, n_y=4,
+                              gamma_scale=scale)
+
 
 class TestApply:
     def test_zero_field(self, mono_grid):

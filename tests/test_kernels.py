@@ -5,7 +5,7 @@ from rtkrylov import _kernels
 from rtkrylov.errors import NumericalError
 from rtkrylov.grid import build_grid
 from rtkrylov.multidim import CartesianGrid2D, build_transfer_2d
-from rtkrylov.transfer import build_transfer, lower_block
+from rtkrylov.transfer import LANE_MIN_RAYS, build_transfer, lower_block
 
 
 EPS = np.finfo(float).eps
@@ -77,6 +77,13 @@ def banded_rays(dtau, src):
     return _kernels.sweep(ab, (scaled(node_dtau)[1] * src).ravel()).reshape(m, n)
 
 
+def lane_rays(dtau, src):
+    # the same rays marched as position-major lanes
+    m, n = src.shape
+    w, r = _kernels.lanes(np.hstack([np.zeros((m, 1)), dtau]))
+    return _kernels.lane_sweep(r, w * src.T).T
+
+
 def banded_lines(dtau, src, node_off):
     # dtau without entries (as march_lines takes it) spread to one value per node
     node_dtau = np.zeros(src.size)
@@ -87,11 +94,12 @@ def banded_lines(dtau, src, node_off):
     return _kernels.sweep(ab, scaled(node_dtau)[1] * src)
 
 
-def march_longdouble(dtau, src):
+def march_longdouble(dtau, src, entry=0.0):
     # the division form of the recursion in extended precision, entry-first
-    # along axis 0 (dtau[0] = 0 at the entry)
+    # along axis 0 (dtau[0] = 0 at the entry, where the value is entry)
     dtau, src = dtau.astype(np.longdouble), src.astype(np.longdouble)
     out = np.zeros_like(src)
+    out[0] = entry
     for i in range(1, src.shape[0]):
         out[i] = (out[i - 1] + dtau[i] * src[i]) / (1 + dtau[i])
     return out
@@ -117,10 +125,11 @@ def ragged():
 def test_rays_match_recursion(batch):
     dtau, src = batch
     steps = src.shape[1]
-    assert_matches_recursion(banded_rays(dtau, src), march_down(dtau, src), steps)
-    # an up ray is the same march on the space-reversed ray
-    up = banded_rays(dtau[:, ::-1], src[:, ::-1])[:, ::-1]
-    assert_matches_recursion(up, march_up(dtau, src), steps)
+    for sweep_rays in (banded_rays, lane_rays):
+        assert_matches_recursion(sweep_rays(dtau, src), march_down(dtau, src), steps)
+        # an up ray is the same march on the space-reversed ray
+        up = sweep_rays(dtau[:, ::-1], src[:, ::-1])[:, ::-1]
+        assert_matches_recursion(up, march_up(dtau, src), steps)
 
 
 def test_ragged_lines_match_recursion():
@@ -132,6 +141,7 @@ def test_ragged_lines_match_recursion():
 
 def test_empty_batch_handled():
     assert banded_rays(np.zeros((0, 4)), np.zeros((0, 5))).shape == (0, 5)
+    assert lane_rays(np.zeros((0, 4)), np.zeros((0, 5))).shape == (0, 5)
     empty = np.zeros(0)
     offsets = np.zeros(1, dtype=np.int64)
     assert np.array_equal(banded_lines(empty, empty, offsets),
@@ -148,9 +158,10 @@ def test_line_sweep_matches_batched_sweep_on_equal_lines():
 
 def test_sweep_matches_closed_form_blocks(batch):
     dtau, src = batch
-    swept = banded_rays(dtau, src)
-    for k in range(src.shape[0]):
-        np.testing.assert_allclose(swept[k], lower_block(dtau[k]) @ src[k], rtol=1e-13, atol=1e-15)
+    for swept in (banded_rays(dtau, src), lane_rays(dtau, src)):
+        for k in range(src.shape[0]):
+            np.testing.assert_allclose(swept[k], lower_block(dtau[k]) @ src[k],
+                                       rtol=1e-13, atol=1e-15)
 
 
 def test_apply_transfer_matches_recursion():
@@ -206,8 +217,16 @@ def test_multi_column_sweep_matches_column_sweeps_exactly():
 
 
 def test_singular_band_raises():
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="at node 1$"):
         _kernels.band(np.array([0.0, -1.0]), np.array([0, 2]))
+    with pytest.raises(NumericalError, match="at node 3$"):  # entry-first index
+        _kernels.lanes(np.array([[0.0, 0.5], [0.0, -1.0]]))
+
+
+def test_lane_sweep_rejects_mismatched_table():
+    r = _kernels.lanes(np.zeros((3, 4)))[1]
+    with pytest.raises(ValueError):
+        _kernels.lane_sweep(r, np.zeros((3, 4)))
 
 
 def test_backend_is_lapack():
@@ -278,3 +297,22 @@ def test_thin_lines_2d_apply_against_long_double():
         ref = pair.ray_to_cart.matrix @ lines.astype(float)
         steps = max(steps, int(np.diff(node_off).max()))
         assert_within_thin_bound(got[:, k], ref, steps)
+
+
+@needs_long_double
+def test_lane_boundary_and_blocks_against_long_double():
+    # 288 rays, so the operator sweeps lanes; both inflows nonzero
+    g = build_grid(4, 24, 12, 0.0, 1.0, profile=lambda nu: 1.0 / (np.pi * (nu**2 + 1.0)))
+    assert g.n_rays >= LANE_MIN_RAYS
+    op = build_transfer(g, i_in_deep=1.0, i_in_surf=0.5)
+    assert op.band is None
+    n, d = g.n_space, op.n_down
+    boundary = op.boundary_space_major().reshape(n, g.n_rays)
+    blocks = op.ray_blocks()
+    for k in range(g.n_rays):
+        inflow = march_longdouble(op.dtau[k], np.zeros(n), 0.5 if k < d else 1.0)
+        block = march_longdouble(op.dtau[k], np.eye(n))
+        if k >= d:  # up rays enter at depth
+            inflow, block = inflow[::-1], block[::-1, ::-1]
+        assert_matches_recursion(boundary[:, k], inflow.astype(float), n)
+        assert_matches_recursion(blocks[k], block.astype(float), n)

@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from rtkrylov import presets
+from rtkrylov import presets, transfer
 from rtkrylov.errors import ResourceLimitError
 from rtkrylov.grid import Grid, build_grid
-from rtkrylov.transfer import build_transfer, lower_block, materialize_transfer
+from rtkrylov.transfer import LANE_MIN_RAYS, build_transfer, lower_block, materialize_transfer
 
 
 def single_ray_grid(mu, n_space, dtau_value=1.0):
@@ -120,7 +120,9 @@ class TestApply:
         out = op.apply_space_major(s)
         np.testing.assert_allclose(out, [0.0, 0.5 * 4.0])
 
-    @pytest.mark.parametrize("n_space,n_angles,n_freq", [(7, 4, 3), (25, 6, 5), (40, 12, 1)])
+    # (4, 24, 12) has 288 rays and sweeps lanes, the others the band
+    @pytest.mark.parametrize("n_space,n_angles,n_freq",
+                             [(7, 4, 3), (25, 6, 5), (40, 12, 1), (4, 24, 12)])
     def test_matches_dense_materialization(self, n_space, n_angles, n_freq):
         g = build_grid(n_space, n_angles, n_freq, 0.0, 1.0,
                        profile=lambda nu: 1.0 / (np.pi * (nu**2 + 1.0)))
@@ -259,9 +261,11 @@ class TestMaterialize:
 
 
 RAY_BLOCK_CASES = [
-    ("mono", dict(n_space=9, n_angles=6)),
-    ("crd", dict(n_space=7, n_angles=4, n_freq=3)),  # down and up rays at each frequency
-    ("aniso2d", dict(n_x=5, n_y=4, n_angles=6)),
+    pytest.param(("mono", dict(n_space=9, n_angles=6)), id="mono"),
+    # down and up rays at each frequency
+    pytest.param(("crd", dict(n_space=7, n_angles=4, n_freq=3)), id="crd"),
+    pytest.param(("crd", dict(n_space=4, n_angles=24, n_freq=12)), id="crd-lanes"),  # 288 rays
+    pytest.param(("aniso2d", dict(n_x=5, n_y=4, n_angles=6)), id="aniso2d"),
 ]
 
 
@@ -271,7 +275,7 @@ def diagonal_blocks(dense, grid):
 
 
 class TestRayBlocks:
-    @pytest.fixture(params=RAY_BLOCK_CASES, ids=[c[0] for c in RAY_BLOCK_CASES])
+    @pytest.fixture(params=RAY_BLOCK_CASES)
     def problem(self, request):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -289,3 +293,35 @@ class TestRayBlocks:
         op, g = problem.transfer, problem.grid
         applied = np.column_stack([op.apply_space_major(e) for e in np.eye(g.n_total)])
         assert np.array_equal(op.ray_blocks(), diagonal_blocks(applied, g))
+
+
+def held_bytes(op):
+    return sum(value.nbytes for value in vars(op).values() if isinstance(value, np.ndarray))
+
+
+class TestSweepLayout:
+    """Wide problems sweep position-major lanes, narrow ones the band; the
+    choice is the ray count against LANE_MIN_RAYS."""
+
+    @pytest.mark.parametrize("n_freq,lanes", [(10, False), (11, True)])
+    def test_chosen_by_ray_count(self, n_freq, lanes):
+        g = build_grid(3, 24, n_freq, 0.0, 1.0)  # 240 or 264 rays
+        op = build_transfer(g)
+        assert (g.n_rays >= LANE_MIN_RAYS) == lanes
+        assert (op.lanes is not None) == lanes and (op.band is None) == lanes
+
+    def test_lane_storage_replaces_band(self, monkeypatch):
+        g = build_grid(4, 24, 12, 0.0, 1.0)
+        op = build_transfer(g, i_in_deep=1.0)
+        assert op.band is None and op.lanes.shape == (2, g.n_space, g.n_rays)
+        monkeypatch.setattr(transfer, "LANE_MIN_RAYS", g.n_rays + 1)
+        banded = build_transfer(g, i_in_deep=1.0)
+        assert banded.lanes is None
+        assert held_bytes(op) == held_bytes(banded)
+        # the two layouts run the same recursion: the boundary has no
+        # multiply-add to fuse, and the apply differs by rounding alone
+        assert np.array_equal(op.boundary_space_major(), banded.boundary_space_major())
+        v = np.random.default_rng(8).standard_normal(g.n_total)
+        np.testing.assert_allclose(op.apply_space_major(v), banded.apply_space_major(v),
+                                   rtol=0, atol=2 * g.n_space * np.finfo(float).eps
+                                   * np.abs(v).max())
